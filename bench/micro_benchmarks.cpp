@@ -1,9 +1,9 @@
 /**
  * @file
  * google-benchmark micro-benchmarks of the simulator substrates:
- * event-queue throughput, DRAM bank/vault service, cache hierarchy
- * walks, placement solving, graph construction and a full scheduled
- * training step.
+ * event-queue throughput, HMC stack request service, placement
+ * and thermal solving, graph construction, a full scheduled training
+ * step, and the thread pool / sweep runner.
  */
 
 #include <benchmark/benchmark.h>
@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "baseline/presets.hh"
-#include "cache/hierarchy.hh"
 #include "harness/sweep.hh"
 #include "harness/thread_pool.hh"
 #include "mem/hmc_stack.hh"
@@ -61,21 +60,6 @@ BM_HmcStackDrain(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * 2048);
 }
 BENCHMARK(BM_HmcStackDrain);
-
-void
-BM_CacheHierarchy(benchmark::State &state)
-{
-    auto hierarchy = hpim::cache::CacheHierarchy::xeonLike();
-    hpim::sim::Rng rng(13);
-    for (auto _ : state) {
-        for (int i = 0; i < 4096; ++i) {
-            hierarchy.access(rng.next() % (1ULL << 30),
-                             hpim::mem::AccessType::Read);
-        }
-    }
-    state.SetItemsProcessed(state.iterations() * 4096);
-}
-BENCHMARK(BM_CacheHierarchy);
 
 void
 BM_Placement(benchmark::State &state)

@@ -2,6 +2,7 @@
 
 #include <memory>
 
+#include "mem/hmc_stack.hh"
 #include "nn/tensor_shape.hh"
 #include "rt/hetero_runtime.hh"
 #include "sim/hash.hh"
@@ -33,10 +34,9 @@ namespace {
 void
 applyStackHost(SystemConfig &config)
 {
-    // The host reaches the cube over serial links (4 x 30 GB/s).
-    config.externalBandwidth = 120e9;
-    config.cpu.memBandwidth = config.externalBandwidth;
-    config.internalBandwidth = 320e9;
+    // The host reaches the cube over its serial links (4 x 30 GB/s).
+    config.cpu.memBandwidth =
+        hpim::mem::peakExternalBandwidth(hpim::mem::HmcConfig{});
     config.dramEnergy = hpim::mem::DramEnergyParams::hmc();
 }
 
@@ -86,7 +86,6 @@ makeConfig(SystemKind kind, double freq_scale, std::uint32_t progr_pims)
         config.name = "CPU";
         // Host-only system: DDR4 DIMMs as in paper Table IV.
         config.cpu.memBandwidth = 50e9;
-        config.externalBandwidth = 50e9;
         config.dramEnergy = hpim::mem::DramEnergyParams::ddr4();
         config.hostCoordinationFloor = 0.0;
         return config;

@@ -44,8 +44,8 @@ hmc2Timing()
     t.tREFI = 1219;
     t.tRFC = 50;
     // 64 B per burst window: two 32 B beats on the DDR vault data
-    // path -> 10 GB/s per vault, 320 GB/s across 32 vaults, matching
-    // SystemConfig::internalBandwidth.
+    // path -> 10 GB/s per vault, 320 GB/s across 32 vaults; the
+    // executor's in-stack bandwidth is mem::peakInternalBandwidth().
     t.burstBytes = 64;
     return t;
 }

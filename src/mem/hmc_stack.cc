@@ -7,6 +7,19 @@
 
 namespace hpim::mem {
 
+double
+peakInternalBandwidth(const HmcConfig &config)
+{
+    return hmc2Timing().scaled(config.frequencyScale).peakBankBandwidth()
+           * static_cast<double>(config.vaults);
+}
+
+double
+peakExternalBandwidth(const HmcConfig &config)
+{
+    return config.linkGBps * 1e9 * static_cast<double>(config.links);
+}
+
 HmcStack::HmcStack(const HmcConfig &config, const std::string &name)
     : Named(name),
       _config(config),
@@ -55,13 +68,13 @@ HmcStack::perVaultBandwidth() const
 double
 HmcStack::peakInternalBandwidth() const
 {
-    return perVaultBandwidth() * static_cast<double>(_config.vaults);
+    return mem::peakInternalBandwidth(_config);
 }
 
 double
 HmcStack::peakExternalBandwidth() const
 {
-    return _config.linkGBps * 1e9 * static_cast<double>(_config.links);
+    return mem::peakExternalBandwidth(_config);
 }
 
 void

@@ -39,6 +39,17 @@ struct HmcConfig
     SchedulingPolicy policy = SchedulingPolicy::FRFCFS;
 };
 
+/**
+ * @return peak internal bandwidth of a stack built from @p config:
+ * every vault streaming one burst per tCCD at hmc2Timing() scaled by
+ * config.frequencyScale, bytes/s. Closed form -- builds no vaults --
+ * so the executor's roofline takes the stack bandwidth from here.
+ */
+double peakInternalBandwidth(const HmcConfig &config);
+
+/** @return peak external link bandwidth of @p config, bytes/s. */
+double peakExternalBandwidth(const HmcConfig &config);
+
 /** The memory cube. */
 class HmcStack : public hpim::sim::Named
 {
@@ -55,10 +66,10 @@ class HmcStack : public hpim::sim::Named
      */
     std::vector<MemoryRequest> drainAll();
 
-    /** @return peak internal bandwidth across all vaults, bytes/s. */
+    /** @return mem::peakInternalBandwidth(config()). */
     double peakInternalBandwidth() const;
 
-    /** @return peak external link bandwidth, bytes/s. */
+    /** @return mem::peakExternalBandwidth(config()). */
     double peakExternalBandwidth() const;
 
     /** @return per-vault peak bandwidth, bytes/s. */

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "mem/hmc_stack.hh"
 #include "model/thermal.hh"
 #include "obs/metrics.hh"
 #include "pim/placement.hh"
@@ -68,7 +69,9 @@ class Executor::PoolEvent : public hpim::sim::Event
 
 Executor::Executor(const SystemConfig &config,
                    const OffloadSelection *selection)
-    : _config(config), _selection(selection), _cpu_model(config.cpu),
+    : _config(config),
+      _internal_bw(hpim::mem::peakInternalBandwidth(hpim::mem::HmcConfig{})),
+      _selection(selection), _cpu_model(config.cpu),
       _pool_event(std::make_unique<PoolEvent>(*this))
 {
     _progr_free = config.hasProgrPim ? config.progrPimCount : 0;
@@ -525,7 +528,7 @@ Executor::startOnProgr(const OpKey &key, bool recursive)
             launch
             + hpim::pim::progrOpSeconds(
                   _config.progr, o.cost,
-                  _config.internalBandwidth * _config.pimBandwidthShare);
+                  _internal_bw * _config.pimBandwidthShare);
         dur = std::max(dur, 1e-12);
         if (outcome == Attempt::Stall) {
             // The kernel hangs; the watchdog reclaims the device after
@@ -772,7 +775,7 @@ Executor::phaseRate(const FixedPhase &phase) const
     if (phase.alloc == 0)
         return 0.0;
     double compute = phase.alloc * _config.fixed.unitFlops();
-    double bw_share = _config.internalBandwidth
+    double bw_share = _internal_bw
                       * _config.pimBandwidthShare
                       * (static_cast<double>(phase.alloc)
                          / _config.fixed.totalUnits);

@@ -237,6 +237,8 @@ class Executor
     hpim::sim::Tick toTick(double seconds) const;
 
     SystemConfig _config;
+    /** mem::peakInternalBandwidth of the default stack, bytes/s. */
+    double _internal_bw;
     const OffloadSelection *_selection;
     hpim::cpu::CpuModel _cpu_model;
 

@@ -74,18 +74,16 @@ struct SystemConfig
      */
     double hostCoordinationFloor = 0.0;
 
-    // ---- Memory system.
-    /** In-stack bandwidth available to PIMs, bytes/s. */
-    double internalBandwidth = 320e9;
-    /** Off-stack link bandwidth available to the host, bytes/s. */
-    double externalBandwidth = 120e9;
-    /** Fraction of internal bandwidth PIM compute may consume. */
+    // ---- Memory system. The in-stack bandwidth PIMs draw on is
+    // mem::peakInternalBandwidth(mem::HmcConfig{}); the host's link
+    // bandwidth is cpu.memBandwidth (set by the presets).
+    /** Fraction of the in-stack bandwidth PIM compute may consume. */
     double pimBandwidthShare = 0.85;
     /**
      * Flops the fixed-function units extract per DRAM byte thanks to
      * in-bank operand buffering (paper SectionIV-D "buffering
      * mechanisms"). Caps pool throughput at
-     * internalBandwidth x share x reuse -- the reason frequency
+     * in-stack bandwidth x share x reuse -- the reason frequency
      * scaling saturates (Fig. 11) while the DRAM arrays stay at their
      * native speed.
      */

@@ -553,6 +553,8 @@ Server::admitSimulate(Connection &conn, const Request &request)
                 std::optional<hpim::sim::DeadlineScope> scope;
                 if (deadline)
                     scope.emplace(*deadline);
+                if (_run_start_hook)
+                    _run_start_hook(id);
                 std::optional<hpim::obs::TraceSession::Scope> tscope;
                 if (_trace != nullptr) {
                     tscope.emplace(scope_id);

@@ -47,6 +47,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -130,6 +131,20 @@ class Server
     /** Wall-clock milliseconds the last drain took (after run()). */
     double drainMs() const { return _drain_ms; }
 
+    /**
+     * Test seam: @p hook runs on the worker thread each time a
+     * simulate request enters its running phase -- after the
+     * admission-queue deadline check passed, with the request's
+     * sim::DeadlineScope installed -- and is passed the request id.
+     * Blocking in it pins the request in that phase, so tests can
+     * order daemon events without sleeping. Set it before run().
+     */
+    void
+    setRunStartHook(std::function<void(std::uint64_t)> hook)
+    {
+        _run_start_hook = std::move(hook);
+    }
+
   private:
     struct Connection;
     struct Completion;
@@ -174,6 +189,7 @@ class Server
 
     hpim::obs::MetricsRegistry _metrics;
     std::unique_ptr<hpim::obs::TraceSession> _trace;
+    std::function<void(std::uint64_t)> _run_start_hook;
 
     // Cached instrument references (registration takes a lock;
     // updates are lock-free).

@@ -125,6 +125,29 @@ TEST(HmcStack, PerVaultBandwidthConsistentWithTotal)
                 stack.perVaultBandwidth() * 32.0, 1.0);
 }
 
+TEST(HmcStack, ClosedFormBandwidthsMatchTheStack)
+{
+    // The executor and the presets read the closed forms; a built
+    // stack (its own scaled timing, its own vault count) must report
+    // exactly the same figures.
+    HmcConfig custom;
+    custom.vaults = 16;
+    custom.links = 2;
+    custom.frequencyScale = 2.0;
+    for (const HmcConfig &config : {HmcConfig{}, custom}) {
+        HmcStack stack{config};
+        EXPECT_EQ(hpim::mem::peakInternalBandwidth(config),
+                  stack.peakInternalBandwidth());
+        EXPECT_EQ(hpim::mem::peakInternalBandwidth(config),
+                  stack.perVaultBandwidth()
+                      * static_cast<double>(stack.vaultCount()));
+        EXPECT_EQ(hpim::mem::peakExternalBandwidth(config),
+                  stack.peakExternalBandwidth());
+    }
+    // 64 B per 6.4 ns burst window x 32 vaults, exact in double.
+    EXPECT_EQ(hpim::mem::peakInternalBandwidth(HmcConfig{}), 320e9);
+}
+
 TEST(HmcStackDeath, VaultIndexOutOfRangePanics)
 {
     HmcStack stack{HmcConfig{}};

@@ -8,9 +8,6 @@
 #include <gtest/gtest.h>
 
 #include "baseline/presets.hh"
-#include "cache/hierarchy.hh"
-#include "cpu/trace_generator.hh"
-#include "mem/hmc_stack.hh"
 #include "nn/models.hh"
 #include "rt/hetero_runtime.hh"
 
@@ -148,52 +145,6 @@ TEST(Integration, RcAndOpTogetherNearSaturateThePool)
     rt::HeteroRuntime runtime(config);
     auto result = runtime.train(nn::buildResNet50());
     EXPECT_GT(result.execution.fixedUtilization, 0.75);
-}
-
-TEST(Integration, TraceDrivenMemoryPathConsistency)
-{
-    // The trace generator, cache hierarchy and HMC stack compose: a
-    // sampled op trace filtered through the caches produces DRAM
-    // requests the stack can service, and the measured row-hit rate
-    // of a streaming op is high.
-    cpu::TraceGenerator gen;
-    auto graph = nn::buildAlexNet();
-    const nn::Operation *relu = nullptr;
-    for (const auto &op : graph.ops()) {
-        if (op.type == nn::OpType::Relu) {
-            relu = &op;
-            break;
-        }
-    }
-    ASSERT_NE(relu, nullptr);
-
-    auto trace = gen.generate(relu->type, relu->cost, 0);
-    cache::CacheHierarchy caches = cache::CacheHierarchy::xeonLike();
-    mem::HmcStack stack{mem::HmcConfig{}};
-    std::uint64_t dram_requests = 0;
-    for (const auto &req : trace) {
-        auto result = caches.access(req.addr, req.type);
-        if (result.mainMemory) {
-            mem::MemoryRequest miss = req;
-            miss.addr %= stack.capacity();
-            stack.enqueue(miss);
-            ++dram_requests;
-        }
-    }
-    ASSERT_GT(dram_requests, 0u);
-    auto done = stack.drainAll();
-    EXPECT_EQ(done.size(), dram_requests);
-
-    // Streaming misses walk rows sequentially: mostly row hits.
-    std::uint64_t hits = 0, misses = 0;
-    for (std::uint32_t v = 0; v < stack.vaultCount(); ++v) {
-        for (std::uint32_t b = 0; b < stack.vault(v).bankCount(); ++b) {
-            hits += stack.vault(v).bank(b).counters().rowHits;
-            misses += stack.vault(v).bank(b).counters().rowMisses
-                      + stack.vault(v).bank(b).counters().rowConflicts;
-        }
-    }
-    EXPECT_GT(hits + misses, 0u);
 }
 
 TEST(Integration, MixedWorkloadCorunWinsForAllPairs)

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "baseline/presets.hh"
+#include "mem/hmc_stack.hh"
 
 using namespace hpim;
 using namespace hpim::baseline;
@@ -94,6 +95,20 @@ TEST(Presets, NeurocubeIsProgrammableOnly)
     EXPECT_TRUE(config.hasProgrPim);
     EXPECT_FALSE(config.dynamicScheduling);
     EXPECT_EQ(config.progr.cores, 16u); // 16 vault-attached PEs
+}
+
+TEST(Presets, StackAttachedHostsUseTheStackLinks)
+{
+    const double links =
+        mem::peakExternalBandwidth(mem::HmcConfig{});
+    for (auto kind : {SystemKind::ProgrPimOnly, SystemKind::FixedPimOnly,
+                      SystemKind::HeteroPim, SystemKind::Neurocube}) {
+        EXPECT_EQ(makeConfig(kind).cpu.memBandwidth, links)
+            << systemName(kind);
+    }
+    EXPECT_EQ(makeHetero(false, false, false).cpu.memBandwidth, links);
+    // The CPU-only system keeps its own DDR4 DIMMs.
+    EXPECT_EQ(makeConfig(SystemKind::CpuOnly).cpu.memBandwidth, 50e9);
 }
 
 TEST(PresetsDeath, GpuConfigThroughSystemConfigIsFatal)

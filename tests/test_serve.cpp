@@ -15,9 +15,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <map>
+#include <functional>
 #include <string>
 #include <thread>
 
@@ -31,6 +33,7 @@
 #include "serve/client.hh"
 #include "serve/server.hh"
 #include "serve/simulate.hh"
+#include "sim/deadline.hh"
 
 namespace {
 
@@ -43,14 +46,17 @@ scratchSocket(const std::string &tag)
            + tag + ".sock";
 }
 
-/** Server + IO thread with unconditional drain on destruction. */
+/** Server + IO thread with unconditional drain on destruction.
+ *  @p run_start becomes the server's run-start hook. */
 class TestServer
 {
   public:
-    explicit TestServer(serve::ServerOptions options)
-        : _server(std::move(options)),
-          _thread([this] { _server.run(); })
+    explicit TestServer(serve::ServerOptions options,
+                        std::function<void(std::uint64_t)> run_start = {})
+        : _server(std::move(options))
     {
+        _server.setRunStartHook(std::move(run_start));
+        _thread = std::thread([this] { _server.run(); });
     }
 
     ~TestServer() { stop(); }
@@ -79,6 +85,18 @@ smallServer(const std::string &tag)
     options.workers = 2;
     options.admissionLimit = 4;
     return options;
+}
+
+/** Poll @p done every millisecond; false after a 60 s bound (a
+ *  broken ordering fails, never wedges). Waits on events, never on
+ *  how long something takes. */
+template <typename Pred>
+bool
+waitUntil(Pred done)
+{
+    for (int i = 0; i < 60'000 && !done(); ++i)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    return done();
 }
 
 serve::Client
@@ -466,16 +484,25 @@ TEST(ServeServer, OverloadRejectsTypedAndAnswersEverything)
     serve::ServerOptions options = smallServer("overload");
     options.workers = 1;
     options.admissionLimit = 1;
-    TestServer server(std::move(options));
-    RawConn conn(server->socketPath());
-
     // Pipeline 6 requests at a 1-deep admission queue with 1 worker:
     // some complete, the spill gets typed `overloaded` -- and every
-    // single one is answered. The requests must be slow enough that
-    // the worker cannot drain the queue between two enqueues of the
-    // same pipelined burst (a fast model here makes the spill count
-    // a race), hence the big-model, many-step configuration.
+    // single one is answered. The first request holds the worker
+    // until the IO thread has decided all of them, so the worker can
+    // never drain the queue between two enqueues of the burst.
     constexpr int kBurst = 6;
+    TestServer server(std::move(options), [&server](std::uint64_t id) {
+        if (id != 100)
+            return;
+        waitUntil([&server] {
+            auto &metrics = server->metrics();
+            return metrics.counter("serve.admitted").value()
+                       + metrics.counter("serve.rejected.overload")
+                             .value()
+                   >= kBurst;
+        });
+    });
+    RawConn conn(server->socketPath());
+
     for (int i = 0; i < kBurst; ++i)
         conn.sendFrame(serve::encodeRequest(
             simulateRequest(100 + i, "vgg19", 64)));
@@ -503,11 +530,20 @@ TEST(ServeServer, DeadlineExpiresWhileQueued)
     serve::ServerOptions options = smallServer("dlqueue");
     options.workers = 1;
     options.admissionLimit = 4;
-    TestServer server(std::move(options));
+    // The first request holds the only worker until the second one has
+    // been admitted, so the second one's microscopic budget is spent
+    // in the admission queue before a worker ever picks it up.
+    TestServer server(std::move(options), [&server](std::uint64_t id) {
+        if (id == 1)
+            waitUntil([&server] {
+                return server->metrics()
+                           .counter("serve.admitted")
+                           .value()
+                       >= 2;
+            });
+    });
     RawConn conn(server->socketPath());
 
-    // A slow request occupies the only worker; the microscopic
-    // deadline behind it expires before a worker ever picks it up.
     conn.sendFrame(serve::encodeRequest(
         simulateRequest(1, "alexnet", 16)));
     conn.sendFrame(serve::encodeRequest(
@@ -525,13 +561,18 @@ TEST(ServeServer, DeadlineExpiresWhileQueued)
 
 TEST(ServeServer, DeadlineExpiresMidSimulation)
 {
-    TestServer server(smallServer("dlrun"));
+    // The budget counts from admission. The hook holds the request at
+    // the start of its running phase until the budget is spent, so
+    // expiry is seen at the first phase boundary; the budget only has
+    // to outlast the pickup by an idle worker.
+    TestServer server(smallServer("dlrun"), [](std::uint64_t) {
+        if (const sim::Deadline *deadline = sim::DeadlineScope::current())
+            std::this_thread::sleep_until(deadline->expiry());
+    });
     serve::Client client = makeClient(server->socketPath());
 
-    // Runs immediately (idle workers) but cannot finish 4001 VGG-19
-    // steps in a millisecond: expires at a phase boundary.
     serve::Response response =
-        client.call(simulateRequest(1, "vgg19", 4'001, 1.0));
+        client.call(simulateRequest(1, "vgg19", 4'001, 500.0));
     ASSERT_FALSE(response.ok);
     EXPECT_EQ(response.code, serve::ErrorCode::DeadlineExceeded);
     EXPECT_NE(response.message.find("phase"), std::string::npos);
@@ -539,13 +580,15 @@ TEST(ServeServer, DeadlineExpiresMidSimulation)
 
 TEST(ServeServer, DrainFinishesInFlightWorkAndStopsAccepting)
 {
-    TestServer server(smallServer("drain"));
+    std::atomic<bool> started{false};
+    TestServer server(smallServer("drain"),
+                      [&started](std::uint64_t) { started = true; });
     RawConn conn(server->socketPath());
 
     // In-flight request, then stop before reading the response.
     conn.sendFrame(serve::encodeRequest(
         simulateRequest(1, "alexnet", 8)));
-    std::this_thread::sleep_for(std::chrono::milliseconds(30));
+    ASSERT_TRUE(waitUntil([&started] { return started.load(); }));
     server->requestStop();
 
     // The admitted request still completes and its response is
@@ -572,16 +615,25 @@ TEST(ServeServer, DrainFinishesInFlightWorkAndStopsAccepting)
 
 TEST(ServeServer, DrainingDaemonRejectsNewWorkTyped)
 {
-    TestServer server(smallServer("drainreject"));
+    // Park request 1 in its running phase so the drain stays open
+    // while we poke at it, then stop. The daemon unlinks its socket
+    // once it has begun draining.
+    std::atomic<bool> started{false};
+    std::atomic<bool> release{false};
+    TestServer server(smallServer("drainreject"),
+                      [&started, &release](std::uint64_t) {
+                          started = true;
+                          waitUntil([&release] { return release.load(); });
+                      });
     RawConn conn(server->socketPath());
-
-    // Park a genuinely slow request so the drain stays open while we
-    // poke at it, then stop.
     conn.sendFrame(serve::encodeRequest(
-        simulateRequest(1, "vgg19", 9'001)));
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        simulateRequest(1, "alexnet", 2)));
+    ASSERT_TRUE(waitUntil([&started] { return started.load(); }));
     server->requestStop();
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    const std::string socket_path = server->socketPath();
+    ASSERT_TRUE(waitUntil([&socket_path] {
+        return ::access(socket_path.c_str(), F_OK) != 0;
+    }));
 
     // The established connection is still served during the drain --
     // but simulate requests on it are rejected typed.
@@ -589,19 +641,17 @@ TEST(ServeServer, DrainingDaemonRejectsNewWorkTyped)
         simulateRequest(2, "alexnet", 1)));
 
     // The rejection is generated inline while request 1 is still
-    // simulating, so responses arrive in completion order: match by
-    // id, not arrival order.
-    std::map<std::uint64_t, serve::Response> by_id;
-    for (int i = 0; i < 2; ++i) {
-        auto response = conn.readResponse();
-        ASSERT_TRUE(response.has_value());
-        by_id[response->id] = *response;
-    }
-    ASSERT_EQ(by_id.count(1u), 1u);
-    ASSERT_EQ(by_id.count(2u), 1u);
-    EXPECT_TRUE(by_id[1].ok);
-    ASSERT_FALSE(by_id[2].ok);
-    EXPECT_EQ(by_id[2].code, serve::ErrorCode::ShuttingDown);
+    // parked; then request 1 is let go and completes.
+    auto rejected = conn.readResponse();
+    release = true;
+    auto finished = conn.readResponse();
+    ASSERT_TRUE(rejected.has_value());
+    ASSERT_TRUE(finished.has_value());
+    EXPECT_EQ(rejected->id, 2u);
+    ASSERT_FALSE(rejected->ok);
+    EXPECT_EQ(rejected->code, serve::ErrorCode::ShuttingDown);
+    EXPECT_EQ(finished->id, 1u);
+    EXPECT_TRUE(finished->ok);
 }
 
 TEST(ServeServer, DrainGraceHardStopsEndlessWork)
@@ -609,13 +659,19 @@ TEST(ServeServer, DrainGraceHardStopsEndlessWork)
     serve::ServerOptions options = smallServer("graceston");
     options.workers = 1;
     options.drainGraceMs = 50.0;
-    TestServer server(std::move(options));
+    // A deadline-less request held in its running phase until the
+    // grace expiry arms the global stop: endless work, however fast
+    // the machine.
+    std::atomic<bool> started{false};
+    TestServer server(std::move(options), [&started](std::uint64_t) {
+        started = true;
+        waitUntil(sim::globalStopArmed);
+    });
     RawConn conn(server->socketPath());
 
-    // A deadline-less request that would run for a very long time.
     conn.sendFrame(serve::encodeRequest(
         simulateRequest(1, "vgg19", 7'001)));
-    std::this_thread::sleep_for(std::chrono::milliseconds(30));
+    ASSERT_TRUE(waitUntil([&started] { return started.load(); }));
     server->requestStop();
 
     // The grace expires, the global stop unwinds the simulation, the

@@ -3,9 +3,7 @@
  * Bring-your-own-model: assemble a training-step graph op by op with
  * the public nn::Builder (docs/GRAPHS.md), round-trip it through the
  * JSON graph format (nn/graph_io.hh) the way `hpim_cli --graph`
- * would, drive the extended-OpenCL layer directly -- four-binary
- * compilation, command queues, the Table-III low-level API -- and
- * then let the runtime schedule it.
+ * would, and let the runtime schedule the reloaded copy.
  *
  *   $ ./examples/custom_model
  */
@@ -13,14 +11,9 @@
 #include <iostream>
 
 #include "baseline/presets.hh"
-#include "cl/kernel.hh"
-#include "cl/lowlevel_api.hh"
-#include "cl/platform.hh"
 #include "harness/table_printer.hh"
-#include "mem/address_mapping.hh"
 #include "nn/graph_builder.hh"
 #include "nn/graph_io.hh"
-#include "pim/placement.hh"
 #include "rt/hetero_runtime.hh"
 
 int
@@ -62,46 +55,7 @@ main()
                       : "DIFFER (bug!)")
               << "\n";
 
-    // ---- 3. Peek under the hood of the programming model: compile
-    //          one op into its four binaries (paper Fig. 4).
-    nn::OpId grad_w = nn::invalidOp;
-    for (nn::OpId id = 0; id < graph.size(); ++id) {
-        if (graph.op(id).type == nn::OpType::MatMulGradWeights) {
-            grad_w = id;
-            break;
-        }
-    }
-    cl::Kernel kernel;
-    kernel.name = graph.op(grad_w).label;
-    kernel.opType = nn::OpType::MatMulGradWeights;
-    kernel.cost = graph.op(grad_w).cost;
-    kernel.parallelism = graph.op(grad_w).parallelism;
-    cl::BinarySet binaries = cl::compileKernel(kernel);
-    std::cout << "\ncompiled '" << kernel.name << "' into "
-              << binaries.binaries.size() << " binaries:\n";
-    for (const auto &binary : binaries.binaries) {
-        std::cout << "  " << binary.symbol << " ("
-                  << fmt(binary.workOps / 1e6, 2) << "M ops, "
-                  << binary.recursiveCalls << " recursive calls)\n";
-    }
-
-    // ---- 4. The Table-III low-level API: offload near the data.
-    mem::AddressMapping mapping(32, 8, 16384, 256,
-                                mem::Interleave::RoBaVaCo);
-    pim::StatusRegisterFile regs(
-        32, pim::placeUnits(pim::BankGrid{}, 444, 0.35).unitsPerBank);
-    cl::PimApi api(regs, mapping);
-    auto handle = api.offloadFixed(/*data_base=*/0x10000,
-                                   /*data_bytes=*/batch * dim * 4,
-                                   /*units_needed=*/127);
-    auto location = api.queryLocation(handle);
-    std::cout << "\nlow-level offload landed on "
-              << location.fixedBanks.size() << " bank(s) holding "
-              << location.dataBanks.size() << " data bank(s); "
-              << regs.totalFreeUnits() << "/444 units still free\n";
-    api.complete(handle);
-
-    // ---- 5. Full runtime scheduling of the *reloaded* step: the
+    // ---- 3. Full runtime scheduling of the *reloaded* step: the
     //         JSON copy schedules identically to the built one.
     auto config = baseline::makeConfig(baseline::SystemKind::HeteroPim);
     config.steps = 16;

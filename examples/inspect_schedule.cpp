@@ -1,8 +1,9 @@
 /**
  * @file
  * Developer tooling tour: record the runtime's schedule for an
- * AlexNet step, dump it as CSV and Chrome-trace JSON (load the JSON
- * in chrome://tracing or Perfetto), print the generated OpenCL-C for
+ * AlexNet step, dump it as CSV (rt::ScheduleTrace) and as Chrome-trace
+ * JSON (an obs::TraceSession; load it in chrome://tracing or Perfetto,
+ * or summarize it with hpim_trace), print the generated OpenCL-C for
  * one complex op, and export the run report as CSV/JSON.
  *
  *   $ ./examples/inspect_schedule [out_dir]
@@ -17,6 +18,7 @@
 #include "harness/report_io.hh"
 #include "sim/logging.hh"
 #include "nn/models.hh"
+#include "obs/trace.hh"
 #include "rt/executor.hh"
 #include "rt/hetero_runtime.hh"
 #include "rt/schedule_trace.hh"
@@ -37,7 +39,10 @@ main(int argc, char **argv)
     rt::Executor executor(config, &prepared.selection);
     rt::ScheduleTrace trace;
     executor.attachTrace(&trace);
+    obs::TraceSession session;
+    session.attach();
     auto report = executor.run(graph, 2);
+    session.detach();
 
     std::cout << "recorded " << trace.size()
               << " scheduled intervals over "
@@ -52,8 +57,11 @@ main(int argc, char **argv)
 
     std::ofstream csv(out_dir + "/schedule.csv");
     trace.dumpCsv(csv);
-    std::ofstream chrome(out_dir + "/schedule.json");
-    trace.dumpChromeTrace(chrome);
+    try {
+        session.exportChromeTrace(out_dir + "/schedule.json");
+    } catch (const obs::TraceExportError &e) {
+        fatal("cannot export the schedule trace: ", e.what());
+    }
     std::cout << "wrote " << out_dir << "/schedule.csv and "
               << out_dir << "/schedule.json (chrome://tracing)\n";
 

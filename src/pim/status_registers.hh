@@ -2,10 +2,9 @@
  * @file
  * PIM status registers (paper SectionIV-D, Fig. 7).
  *
- * One register per bank of fixed-function units plus one for the
- * programmable PIM. The runtime scheduler polls these to decide
- * idleness and query completion; the low-level API (Table III) is a
- * thin veneer over this file.
+ * One register per bank of fixed-function units. The runtime
+ * scheduler polls these to decide idleness and query completion; it
+ * tracks programmable-PIM occupancy itself (rt::Executor).
  *
  * Beyond the paper's BUSY/IDLE view, each bank carries a health state
  * (HEALTHY / THROTTLED / FAILED) driven by the fault-injection layer
@@ -103,10 +102,6 @@ class StatusRegisterFile
     /** @return number of permanently failed banks. */
     std::uint32_t failedBanks() const { return _failed_banks; }
 
-    /** Programmable-PIM busy flag. */
-    bool progrBusy() const { return _progr_busy; }
-    void setProgrBusy(bool busy) { _progr_busy = busy; }
-
     std::uint32_t banks() const
     { return static_cast<std::uint32_t>(_capacity.size()); }
 
@@ -118,7 +113,6 @@ class StatusRegisterFile
     std::vector<BankState> _state;
     std::uint32_t _total_units = 0;
     std::uint32_t _failed_banks = 0;
-    bool _progr_busy = false;
 };
 
 } // namespace hpim::pim

@@ -51,26 +51,6 @@ ScheduleTrace::dumpCsv(std::ostream &os) const
     }
 }
 
-void
-ScheduleTrace::dumpChromeTrace(std::ostream &os) const
-{
-    os << "{\"traceEvents\":[";
-    bool first = true;
-    for (const TraceEntry &e : _entries) {
-        if (!first)
-            os << ',';
-        first = false;
-        // Complete events ("X"): ts/dur in microseconds; one pid per
-        // workload, one tid per device kind.
-        os << "{\"name\":\"" << e.label << "\",\"ph\":\"X\",\"ts\":"
-           << e.startSec * 1e6 << ",\"dur\":" << e.durationSec() * 1e6
-           << ",\"pid\":" << e.workload << ",\"tid\":\""
-           << placedOnName(e.placement) << " (step " << e.step
-           << ")\"}";
-    }
-    os << "]}";
-}
-
 double
 ScheduleTrace::busySeconds(PlacedOn placement) const
 {

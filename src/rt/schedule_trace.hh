@@ -1,10 +1,11 @@
 /**
  * @file
  * Schedule tracing: a per-op timeline of the executor's placement
- * decisions, exportable as CSV or Chrome-trace JSON
- * (chrome://tracing / Perfetto). Invaluable for understanding why a
+ * decisions, exportable as CSV. Invaluable for understanding why a
  * schedule behaves as it does -- e.g. watching next-step ops slide
- * into idle fixed-function units when OP is enabled.
+ * into idle fixed-function units when OP is enabled. For a
+ * chrome://tracing / Perfetto view, attach an obs::TraceSession
+ * around the run and export that instead.
  */
 
 #ifndef HPIM_RT_SCHEDULE_TRACE_HH
@@ -58,9 +59,6 @@ class ScheduleTrace
 
     /** "label,placement,workload,step,start,end,duration" rows. */
     void dumpCsv(std::ostream &os) const;
-
-    /** Chrome-trace JSON ("traceEvents" array; one row per device). */
-    void dumpChromeTrace(std::ostream &os) const;
 
     /** Busy seconds per placement kind. */
     double busySeconds(PlacedOn placement) const;

@@ -50,28 +50,6 @@ TEST(ScheduleTrace, CsvHasHeaderAndRows)
     EXPECT_NE(text.find("conv1/Conv2D,fixed,0,1"), std::string::npos);
 }
 
-TEST(ScheduleTrace, ChromeTraceIsWellFormedJson)
-{
-    ScheduleTrace trace;
-    auto t = trace.begin("op", 0, PlacedOn::ProgrRecursive, 0, 0, 0.0);
-    trace.end(t, 1e-3);
-    std::ostringstream os;
-    trace.dumpChromeTrace(os);
-    std::string text = os.str();
-    EXPECT_EQ(text.front(), '{');
-    EXPECT_EQ(text.back(), '}');
-    EXPECT_NE(text.find("\"traceEvents\""), std::string::npos);
-    EXPECT_NE(text.find("\"ph\":\"X\""), std::string::npos);
-    // Balanced braces.
-    int depth = 0;
-    for (char c : text) {
-        if (c == '{') ++depth;
-        if (c == '}') --depth;
-        EXPECT_GE(depth, 0);
-    }
-    EXPECT_EQ(depth, 0);
-}
-
 TEST(ScheduleTrace, ExecutorFillsTraceForEveryOp)
 {
     auto config = baseline::makeConfig(baseline::SystemKind::HeteroPim);

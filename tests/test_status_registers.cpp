@@ -26,7 +26,6 @@ TEST(StatusRegisters, InitialStateAllFree)
     EXPECT_EQ(regs.totalUnits(), 40u);
     EXPECT_EQ(regs.totalFreeUnits(), 40u);
     EXPECT_FALSE(regs.bankBusy(0));
-    EXPECT_FALSE(regs.progrBusy());
 }
 
 TEST(StatusRegisters, AcquireReservesUnits)
@@ -56,15 +55,6 @@ TEST(StatusRegisters, ReleaseReturnsUnits)
     EXPECT_EQ(regs.freeUnits(2), 6u);
     regs.release(2, 4);
     EXPECT_FALSE(regs.bankBusy(2));
-}
-
-TEST(StatusRegisters, ProgrBusyFlag)
-{
-    auto regs = fourBanks();
-    regs.setProgrBusy(true);
-    EXPECT_TRUE(regs.progrBusy());
-    regs.setProgrBusy(false);
-    EXPECT_FALSE(regs.progrBusy());
 }
 
 TEST(StatusRegisters, UnevenBankCapacities)

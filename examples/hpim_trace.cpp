@@ -74,6 +74,40 @@ readFile(const std::string &path)
     return text.str();
 }
 
+/** Add one trace event to @p trace; throws json::Error on a bad shape. */
+void
+decodeEvent(const Value &event, Trace &trace)
+{
+    const std::string &ph = event.at("ph").asString();
+    const std::string &name = event.at("name").asString();
+    std::uint64_t pid = event.at("pid").asUInt64();
+    std::uint64_t tid = event.at("tid").asUInt64();
+    if (ph == "M") {
+        const Value &args = event.at("args");
+        if (name == "process_name")
+            trace.processes[pid] = args.at("name").asString();
+        else if (name == "thread_name")
+            trace.tracks[{pid, tid}] = args.at("name").asString();
+        return;
+    }
+    if (ph == "X") {
+        Span span;
+        span.pid = pid;
+        span.tid = tid;
+        span.tsUs = event.at("ts").asDouble();
+        span.durUs = event.at("dur").asDouble();
+        span.name = name;
+        if (const Value *args = event.find("args")) {
+            if (const Value *energy = args->find("energy_j"))
+                span.energyJ = energy->asDouble();
+        }
+        trace.spans.push_back(std::move(span));
+    } else if (ph == "i") {
+        ++trace.instants[name];
+    }
+    // "C" counter samples carry no duration; nothing to aggregate.
+}
+
 Trace
 loadTrace(const std::string &path)
 {
@@ -85,40 +119,17 @@ loadTrace(const std::string &path)
     }
     fatal_if(!doc.isObject(), "'", path,
              "' is not a Chrome trace (top level must be an object)");
-    const Value &events = doc.at("traceEvents");
-    fatal_if(!events.isArray(), "'", path,
+    const Value *events = doc.find("traceEvents");
+    fatal_if(events == nullptr || !events->isArray(), "'", path,
              "': traceEvents must be an array");
 
     Trace trace;
-    for (const Value &event : events.array) {
-        const std::string &ph = event.at("ph").asString();
-        const std::string &name = event.at("name").asString();
-        std::uint64_t pid = event.at("pid").asUInt64();
-        std::uint64_t tid = event.at("tid").asUInt64();
-        if (ph == "M") {
-            const Value &args = event.at("args");
-            if (name == "process_name")
-                trace.processes[pid] = args.at("name").asString();
-            else if (name == "thread_name")
-                trace.tracks[{pid, tid}] = args.at("name").asString();
-            continue;
+    for (std::size_t i = 0; i < events->array.size(); ++i) {
+        try {
+            decodeEvent(events->array[i], trace);
+        } catch (const harness::json::Error &e) {
+            fatal("'", path, "': traceEvents[", i, "]: ", e.what());
         }
-        if (ph == "X") {
-            Span span;
-            span.pid = pid;
-            span.tid = tid;
-            span.tsUs = event.at("ts").asDouble();
-            span.durUs = event.at("dur").asDouble();
-            span.name = name;
-            if (const Value *args = event.find("args")) {
-                if (const Value *energy = args->find("energy_j"))
-                    span.energyJ = energy->asDouble();
-            }
-            trace.spans.push_back(std::move(span));
-        } else if (ph == "i") {
-            ++trace.instants[name];
-        }
-        // "C" counter samples carry no duration; nothing to aggregate.
     }
     return trace;
 }

@@ -1,6 +1,7 @@
 #include "rt/executor.hh"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "mem/hmc_stack.hh"
@@ -233,41 +234,28 @@ Executor::seedStep(std::uint32_t w, std::uint32_t step)
             static_cast<std::uint32_t>(o.inputs.size());
         if (states[o.id].remainingDeps == 0) {
             states[o.id].ready = true;
-            _pending.push_back(OpKey{w, step, o.id});
-            _pending_dirty = true;
+            pushReady(OpKey{w, step, o.id});
         }
     }
 }
 
 std::optional<PlacedOn>
-Executor::decidePlacement(const OpKey &key) const
+Executor::decidePlacement(const OpKey &key, std::uint32_t level,
+                          unsigned atoms) const
 {
+    if (level > 0)
+        return ladderPlacement(key, level, atoms);
+
     const WorkloadState &wl = _workloads[key.workload];
     const OpMeta &meta = wl.meta[key.op];
     OffloadClass cls = meta.cls;
-    bool has_fixed = _config.hasFixedPim;
-    bool has_progr = _config.hasProgrPim && _progr_free > 0;
-    bool fixed_tree_free =
-        has_fixed && _fixed_capacity > 0
-        && _fixed_free >= std::min(meta.unitsPerLane,
-                                   _fixed_capacity);
-
-    if (faultsOn()) {
-        std::uint32_t level = degradeLevel(key);
-        // With every pool bank permanently failed, fixed-destined ops
-        // skip straight to the next rung instead of waiting forever.
-        if (level == 0 && has_fixed && _fixed_alive == 0
-            && (cls == OffloadClass::FixedFunction
-                || cls == OffloadClass::Recursive)) {
-            level = 1;
-        }
-        if (level > 0)
-            return ladderPlacement(key, level);
-    }
+    bool cpu_free = atoms & CpuFree;
+    bool has_progr = atoms & ProgrFree;
+    bool fixed_tree_free = atoms & TreeFree;
 
     // Guest workloads (mixed-workload co-run): CPU or progr PIM only.
     if (!wl.spec.pimManaged) {
-        if (!_cpu_busy)
+        if (cpu_free)
             return PlacedOn::Cpu;
         if (has_progr)
             return PlacedOn::ProgrPim;
@@ -291,7 +279,7 @@ Executor::decidePlacement(const OpKey &key) const
           case OffloadClass::Recursive:
             if (_config.hasFixedPim) {
                 // Host feeds extracted regions; needs CPU + trees.
-                if (!_cpu_busy && fixed_tree_free)
+                if (cpu_free && fixed_tree_free)
                     return PlacedOn::FixedHostDriven;
                 return std::nullopt;
             }
@@ -303,7 +291,7 @@ Executor::decidePlacement(const OpKey &key) const
                                  : std::nullopt;
             break;
         }
-        return _cpu_busy ? std::nullopt : std::optional(PlacedOn::Cpu);
+        return cpu_free ? std::optional(PlacedOn::Cpu) : std::nullopt;
     }
 
     // ---- Dynamic scheduling (paper SectionIII-C step 2).
@@ -313,7 +301,7 @@ Executor::decidePlacement(const OpKey &key) const
         // Class-1/4 ops stay on the CPU unless it is busy and PIMs
         // idle ("we can offload them when there are idling hardware
         // units in PIMs").
-        if (!_cpu_busy)
+        if (cpu_free)
             return PlacedOn::Cpu;
         if (cls == OffloadClass::FixedFunction && fixed_tree_free)
             return PlacedOn::FixedPool;
@@ -329,42 +317,33 @@ Executor::decidePlacement(const OpKey &key) const
         // rather than letting it idle; large kernels wait for trees.
         if (fixed_tree_free)
             return PlacedOn::FixedPool;
-        if (!_cpu_busy && meta.smallOnCpu)
+        if (cpu_free && meta.smallOnCpu)
             return PlacedOn::Cpu;
         return std::nullopt;
       case OffloadClass::Recursive:
         if (_config.recursiveKernels && has_progr && _config.hasFixedPim)
             return PlacedOn::ProgrRecursive;
         if (!_config.recursiveKernels && _config.hasFixedPim
-            && !_cpu_busy && fixed_tree_free) {
+            && cpu_free && fixed_tree_free) {
             return PlacedOn::FixedHostDriven;
         }
-        if (!_cpu_busy && (!_config.hasFixedPim || meta.smallOnCpu))
+        if (cpu_free && (!_config.hasFixedPim || meta.smallOnCpu))
             return PlacedOn::Cpu;
         return std::nullopt;
       case OffloadClass::ProgrammableOnly:
       case OffloadClass::DataMovement:
         if (has_progr)
             return PlacedOn::ProgrPim;
-        if (!_cpu_busy && meta.smallOnCpu)
+        if (cpu_free && meta.smallOnCpu)
             return PlacedOn::Cpu;
         return std::nullopt;
     }
     return std::nullopt;
 }
 
-std::uint32_t
-Executor::degradeLevel(const OpKey &key) const
-{
-    // Sized lazily by failAttempt(); empty means no op in this step
-    // has ever degraded.
-    const std::vector<std::uint32_t> &degraded =
-        _workloads[key.workload].steps[key.step].degraded;
-    return degraded.empty() ? 0 : degraded[key.op];
-}
-
 std::optional<PlacedOn>
-Executor::ladderPlacement(const OpKey &key, std::uint32_t level) const
+Executor::ladderPlacement(const OpKey &key, std::uint32_t level,
+                          unsigned atoms) const
 {
     OffloadClass cls = _workloads[key.workload].meta[key.op].cls;
     // Rung 1 is the programmable PIM -- unless the op started there
@@ -374,20 +353,121 @@ Executor::ladderPlacement(const OpKey &key, std::uint32_t level) const
                       && cls != OffloadClass::ProgrammableOnly
                       && cls != OffloadClass::DataMovement;
     if (level == 1 && progr_rung) {
-        return _progr_free > 0 ? std::optional(PlacedOn::ProgrPim)
-                               : std::nullopt;
+        return atoms & ProgrFree ? std::optional(PlacedOn::ProgrPim)
+                                 : std::nullopt;
     }
     // Final rung: the host CPU, which never faults, so every op
     // eventually completes.
-    return _cpu_busy ? std::nullopt : std::optional(PlacedOn::Cpu);
+    return atoms & CpuFree ? std::optional(PlacedOn::Cpu) : std::nullopt;
 }
 
-bool
-Executor::tryDispatch(const OpKey &key)
+std::uint32_t
+Executor::placementLevel(const OpKey &key) const
 {
-    auto placement = decidePlacement(key);
-    if (!placement)
-        return false;
+    if (!faultsOn())
+        return 0;
+    // Sized lazily by failAttempt(); empty means no op in this step
+    // has ever degraded.
+    const std::vector<std::uint32_t> &degraded =
+        _workloads[key.workload].steps[key.step].degraded;
+    std::uint32_t level = degraded.empty() ? 0 : degraded[key.op];
+    OffloadClass cls = _workloads[key.workload].meta[key.op].cls;
+    // With every pool bank permanently failed, fixed-destined ops
+    // skip straight to the next rung instead of waiting forever.
+    if (level == 0 && _config.hasFixedPim && _fixed_alive == 0
+        && (cls == OffloadClass::FixedFunction
+            || cls == OffloadClass::Recursive)) {
+        level = 1;
+    }
+    return level;
+}
+
+unsigned
+Executor::atoms(std::uint32_t width) const
+{
+    unsigned atoms = 0;
+    if (!_cpu_busy)
+        atoms |= CpuFree;
+    if (_progr_free > 0)
+        atoms |= ProgrFree;
+    if (_config.hasFixedPim && _fixed_capacity > 0
+        && _fixed_free >= std::min(width, _fixed_capacity)) {
+        atoms |= TreeFree;
+    }
+    return atoms;
+}
+
+std::uint8_t
+Executor::placementTable(const OpKey &key, std::uint32_t level) const
+{
+    std::uint8_t table = 0;
+    for (unsigned atoms = 0; atoms < 8; ++atoms) {
+        if (decidePlacement(key, level, atoms))
+            table |= static_cast<std::uint8_t>(1u << atoms);
+    }
+    return table;
+}
+
+std::uint32_t
+Executor::bucketFor(std::uint8_t table, std::uint32_t width)
+{
+    // Tables that ignore the tree atom share one bucket per table.
+    if ((table & 0x0F) == (table >> 4))
+        width = 0;
+    for (std::uint32_t i = 0; i < _ready.size(); ++i) {
+        if (_ready[i].table == table && _ready[i].width == width)
+            return i;
+    }
+    _ready.push_back(ReadyBucket{table, width, {}});
+    return static_cast<std::uint32_t>(_ready.size() - 1);
+}
+
+void
+Executor::pushReady(const OpKey &key)
+{
+    const WorkloadState &wl = _workloads[key.workload];
+    ReadyOp ready;
+    ready.rank = (std::uint64_t(!wl.spec.pimManaged) << 63)
+                 | (std::uint64_t(key.step) << 32) | key.op;
+    ready.seq = _ready_seq++;
+    ready.key = key;
+    // Degraded ops, and fixed-destined ops once the pool is dead,
+    // leave the undegraded table cached by run().
+    std::uint32_t level = placementLevel(key);
+    std::uint32_t bucket =
+        level == 0 ? wl.meta[key.op].bucket
+                   : bucketFor(placementTable(key, level),
+                               wl.meta[key.op].unitsPerLane);
+    std::vector<ReadyOp> &ops = _ready[bucket].ops;
+    ops.insert(std::upper_bound(ops.begin(), ops.end(), ready), ready);
+}
+
+void
+Executor::rebucketReady()
+{
+    std::vector<ReadyOp> ready;
+    for (ReadyBucket &bucket : _ready) {
+        ready.insert(ready.end(), bucket.ops.begin(), bucket.ops.end());
+        bucket.ops.clear();
+    }
+    // Re-pushing in push order keeps every tie-break.
+    std::sort(ready.begin(), ready.end(),
+              [](const ReadyOp &a, const ReadyOp &b) {
+                  return a.seq < b.seq;
+              });
+    for (const ReadyOp &op : ready)
+        pushReady(op.key);
+}
+
+void
+Executor::dispatch(const OpKey &key)
+{
+    obsCount("rt.placement_evals");
+    auto placement = decidePlacement(
+        key, placementLevel(key),
+        atoms(_workloads[key.workload].meta[key.op].unitsPerLane));
+    panic_if(!placement, "ready op ", keyStr(key),
+             " taken from an open bucket has no placement");
 
     OpState &s = state(key);
     s.ready = false;
@@ -435,48 +515,53 @@ Executor::tryDispatch(const OpKey &key)
         startHostDriven(key);
         break;
     }
-    return true;
 }
 
 void
 Executor::dispatchAll()
 {
-    if (_pending.empty())
-        return;
-    // Priority: managed workloads first, then (step, op id) order.
-    // Dispatching never reorders the survivors, so the sort is needed
-    // only after new ops were pushed (stable_sort on an already
-    // sorted list is the identity, so skipping it changes nothing).
-    if (_pending_dirty) {
-        std::stable_sort(
-            _pending.begin(), _pending.end(),
-            [this](const OpKey &a, const OpKey &b) {
-                bool am = _workloads[a.workload].spec.pimManaged;
-                bool bm = _workloads[b.workload].spec.pimManaged;
-                if (am != bm)
-                    return am;
-                if (a.step != b.step)
-                    return a.step < b.step;
-                return a.op < b.op;
-            });
-        _pending_dirty = false;
-    }
-    // Keep sweeping until a pass places nothing: a dispatch can free
-    // pool units for *earlier* entries (poolReallocate may shrink an
-    // older phase's extra trees when a new phase claims its base
-    // tree), so one pass is not always a fixed point. Survivors are
-    // compacted in place instead of erased one by one.
-    bool progress = true;
-    while (progress) {
-        progress = false;
-        std::size_t out = 0;
-        for (std::size_t i = 0; i < _pending.size(); ++i) {
-            if (tryDispatch(_pending[i]))
-                progress = true;
-            else
-                _pending[out++] = _pending[i];
+    // Same schedule as passes over one priority-sorted ready list that
+    // repeat until a pass places nothing, without visiting the ops a
+    // pass would refuse. Within a pass the next op placed is the
+    // highest-priority op after the last one placed whose bucket is
+    // open under the current atoms; ops skipped earlier in the pass
+    // wait for the next pass even when a dispatch reopens their
+    // bucket (addPhase() can raise _fixed_free), exactly as a scan
+    // would leave them. When the pass runs out, the next pass starts
+    // at the highest-priority open op.
+    bool in_pass = false; // `last` is the op this pass placed last
+    ReadyOp last;
+    for (;;) {
+        ReadyBucket *head = nullptr, *next = nullptr;
+        std::vector<ReadyOp>::iterator head_it, next_it;
+        for (ReadyBucket &bucket : _ready) {
+            if (bucket.ops.empty()
+                || !(bucket.table >> atoms(bucket.width) & 1u)) {
+                continue;
+            }
+            auto it = bucket.ops.begin();
+            if (head == nullptr || *it < *head_it) {
+                head = &bucket;
+                head_it = it;
+            }
+            if (in_pass && *it < last)
+                it = std::upper_bound(it, bucket.ops.end(), last);
+            if (in_pass && it != bucket.ops.end()
+                && (next == nullptr || *it < *next_it)) {
+                next = &bucket;
+                next_it = it;
+            }
         }
-        _pending.resize(out);
+        if (next == nullptr) {
+            next = head;
+            next_it = head_it;
+        }
+        if (next == nullptr)
+            return;
+        last = *next_it;
+        next->ops.erase(next_it);
+        dispatch(last.key);
+        in_pass = true;
     }
 }
 
@@ -1020,8 +1105,7 @@ Executor::failAttempt(const OpKey &key, FailKind kind)
             if (st.done || st.running || st.ready)
                 return;
             st.ready = true;
-            _pending.push_back(key);
-            _pending_dirty = true;
+            pushReady(key);
             dispatchAll();
         },
         hpim::sim::Event::schedulePriority);
@@ -1032,8 +1116,13 @@ Executor::refreshFixedCapacity()
 {
     if (_regs == nullptr)
         return;
+    bool was_alive = _fixed_alive > 0;
     _fixed_capacity = _regs->availableUnits();
     _fixed_alive = _regs->aliveUnits();
+    // A dead pool promotes fixed-destined ops one ladder rung, which
+    // changes their truth tables.
+    if (was_alive && _fixed_alive == 0)
+        rebucketReady();
 }
 
 void
@@ -1203,8 +1292,7 @@ Executor::onOpComplete(const OpKey &key)
         panic_if(cs.remainingDeps == 0, "dependence underflow");
         if (--cs.remainingDeps == 0) {
             cs.ready = true;
-            _pending.push_back(OpKey{key.workload, key.step, consumer});
-            _pending_dirty = true;
+            pushReady(OpKey{key.workload, key.step, consumer});
         }
     }
 
@@ -1238,7 +1326,7 @@ Executor::run(const std::vector<WorkloadSpec> &workloads)
              "Executor::run() called twice; construct a fresh "
              "Executor per run");
     _workloads.clear();
-    _pending.clear();
+    _ready.clear();
     _phases.clear();
     _report = ExecutionReport{};
     _report.configName = _config.name;
@@ -1250,26 +1338,36 @@ Executor::run(const std::vector<WorkloadSpec> &workloads)
         fatal_if(spec.graph == nullptr, "workload without a graph");
         fatal_if(spec.steps == 0, "workload with zero steps");
         fatal_if(spec.steps >= (1u << 24), "too many steps to pack");
-        WorkloadState wl;
+        auto w = static_cast<std::uint32_t>(_workloads.size());
+        WorkloadState &wl = _workloads.emplace_back();
         wl.spec = spec;
         wl.steps.resize(spec.steps);
         wl.remainingOps.assign(spec.steps, 0);
-        // Precompute the placement-relevant facts for every op once;
-        // decidePlacement() reads these on every pending-list scan.
+        // Precompute the placement-relevant facts for every op once,
+        // and its undegraded bucket. decidePlacement() reads only an
+        // op's class, candidacy and CPU-fallback size, so ops that
+        // share those share a truth table.
         const Graph &graph = *spec.graph;
         wl.meta.reserve(graph.size());
+        std::array<int, 16> tables;
+        tables.fill(-1);
         for (OpId id = 0; id < graph.size(); ++id) {
             const Operation &o = graph.op(id);
-            OpMeta meta;
+            OpMeta &meta = wl.meta.emplace_back();
             meta.cls = hpim::nn::opTraits(o.type).offloadClass;
             meta.candidate = _selection == nullptr
                              || _selection->isCandidate(o.type);
             meta.smallOnCpu = _cpu_model.opSeconds(o.cost)
                               <= _config.cpuFallbackThresholdSec;
             meta.unitsPerLane = o.parallelism.unitsPerLane;
-            wl.meta.push_back(meta);
+            std::size_t facts = std::size_t(meta.cls) << 2
+                                | std::size_t(meta.candidate) << 1
+                                | std::size_t(meta.smallOnCpu);
+            if (tables[facts] < 0)
+                tables[facts] = placementTable(OpKey{w, 0, id}, 0);
+            meta.bucket = bucketFor(static_cast<std::uint8_t>(tables[facts]),
+                                    meta.unitsPerLane);
         }
-        _workloads.push_back(std::move(wl));
     }
     _report.workloadName = workloads[0].graph->name();
     _report.stepsSimulated = workloads[0].steps;

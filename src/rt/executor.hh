@@ -94,11 +94,8 @@ class Executor
 
     /**
      * Placement-relevant facts about one op, precomputed per workload
-     * when run() starts. decidePlacement() is the simulator's hottest
-     * function; reading these instead of chasing Graph::op ->
-     * opTraits -> CpuModel -> selection-set lookups on every pending
-     * scan is a large share of the PR-5 speedup
-     * (docs/PERFORMANCE.md).
+     * when run() starts, so decidePlacement() never chases Graph::op
+     * -> opTraits -> CpuModel -> selection-set lookups.
      */
     struct OpMeta
     {
@@ -107,6 +104,45 @@ class Executor
         /** CPU run time is under config.cpuFallbackThresholdSec. */
         bool smallOnCpu = false;
         std::uint32_t unitsPerLane = 1;
+        /** _ready index of the op's undegraded truth table. */
+        std::uint32_t bucket = 0;
+    };
+
+    /**
+     * The device-availability atoms decidePlacement() reads, as bits
+     * of a 3-bit index: the CPU is idle, a programmable PIM is idle, a
+     * reduction tree of the op's width is free in the fixed pool.
+     */
+    enum Atom : unsigned { CpuFree = 1, ProgrFree = 2, TreeFree = 4 };
+
+    /** A ready op in dispatch priority order. */
+    struct ReadyOp
+    {
+        /** Guests last, then step, then op id: one packed key. */
+        std::uint64_t rank = 0;
+        /** Push order: breaks rank ties between co-run workloads. */
+        std::uint64_t seq = 0;
+        OpKey key{};
+
+        bool
+        operator<(const ReadyOp &other) const
+        {
+            return rank != other.rank ? rank < other.rank
+                                      : seq < other.seq;
+        }
+    };
+
+    /**
+     * The ready ops sharing one placement truth table and tree width:
+     * one atom test opens or closes the whole bucket. Bit a of
+     * @ref table is set when decidePlacement() places the op under
+     * atoms a; @ref width is 0 when the table ignores the tree atom.
+     */
+    struct ReadyBucket
+    {
+        std::uint8_t table = 0;
+        std::uint32_t width = 0;
+        std::vector<ReadyOp> ops; ///< sorted by priority
     };
 
     struct OpState
@@ -190,8 +226,30 @@ class Executor
     // ---- Scheduling.
     void seedStep(std::uint32_t w, std::uint32_t step);
     void dispatchAll();
-    bool tryDispatch(const OpKey &key);
-    std::optional<PlacedOn> decidePlacement(const OpKey &key) const;
+    /** Place @p key, taken from an open bucket; decidePlacement()
+     *  refusing it is a bug (panic). */
+    void dispatch(const OpKey &key);
+    /**
+     * Placement of @p key at degradation @p level under @p atoms. Of
+     * the op it reads only OpMeta's class, candidacy and CPU-fallback
+     * size (run() shares truth tables between ops on that basis).
+     */
+    std::optional<PlacedOn> decidePlacement(const OpKey &key,
+                                            std::uint32_t level,
+                                            unsigned atoms) const;
+    /** Ladder level decidePlacement() applies to @p key right now. */
+    std::uint32_t placementLevel(const OpKey &key) const;
+    /** The current atoms for an op whose trees are @p width wide. */
+    unsigned atoms(std::uint32_t width) const;
+    /** decidePlacement()'s answer under each of the 8 atom sets. */
+    std::uint8_t placementTable(const OpKey &key,
+                                std::uint32_t level) const;
+    /** Index of the bucket for @p table and @p width (made on first
+     *  use). */
+    std::uint32_t bucketFor(std::uint8_t table, std::uint32_t width);
+    void pushReady(const OpKey &key);
+    /** Re-derive every ready op's bucket (the pool just died). */
+    void rebucketReady();
     void startOnCpu(const OpKey &key);
     void startOnProgr(const OpKey &key, bool recursive);
     void startOnFixed(const OpKey &key);
@@ -208,9 +266,9 @@ class Executor
     bool faultsOn() const { return _fault_model != nullptr; }
     void setupFaultLayer();
     void scheduleHealthEvents();
-    std::uint32_t degradeLevel(const OpKey &key) const;
     std::optional<PlacedOn> ladderPlacement(const OpKey &key,
-                                            std::uint32_t level) const;
+                                            std::uint32_t level,
+                                            unsigned atoms) const;
     void failAttempt(const OpKey &key, FailKind kind);
     void onBankFailed(std::uint32_t bank);
     void onThrottle(std::size_t index, bool start);
@@ -244,11 +302,9 @@ class Executor
 
     hpim::sim::EventQueue _queue;
     std::vector<WorkloadState> _workloads;
-    std::vector<OpKey> _pending; ///< ready, not yet placed
-    /** _pending gained entries since its last priority sort; cleared
-     *  by dispatchAll() (dispatch keeps the order, so a clean list
-     *  skips the re-sort entirely). */
-    bool _pending_dirty = false;
+    /** Ready, not yet placed ops, bucketed by what can place them. */
+    std::vector<ReadyBucket> _ready;
+    std::uint64_t _ready_seq = 0; ///< next ReadyOp::seq
 
     // Device state.
     bool _cpu_busy = false;

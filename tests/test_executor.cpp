@@ -8,7 +8,9 @@
 
 #include "baseline/presets.hh"
 #include "nn/builder.hh"
+#include "nn/graph_builder.hh"
 #include "nn/models.hh"
+#include "obs/metrics.hh"
 #include "rt/executor.hh"
 #include "rt/hetero_runtime.hh"
 
@@ -34,6 +36,45 @@ runOn(const SystemConfig &config, const nn::Graph &graph,
 {
     HeteroRuntime runtime(config);
     return runtime.train(graph, steps).execution;
+}
+
+/** 32 dense towers merged pairwise through nn::Builder: ~500 ops. */
+nn::Graph
+wideTowers()
+{
+    nn::Builder b("wide");
+    std::vector<nn::TensorRef> towers;
+    for (int tower = 0; tower < 32; ++tower) {
+        nn::TensorRef x = b.input(nn::TensorShape{64, 256});
+        towers.push_back(b.dense(b.layerNorm(b.dense(x, 256)), 128));
+    }
+    while (towers.size() > 1) {
+        std::vector<nn::TensorRef> merged;
+        for (std::size_t i = 0; i + 1 < towers.size(); i += 2)
+            merged.push_back(b.add(towers[i], towers[i + 1]));
+        towers = std::move(merged);
+    }
+    return b.trainingStep(b.dense(towers.front(), 16, false));
+}
+
+/** Dispatch work counters of one run. */
+struct WorkCounts
+{
+    std::uint64_t evals = 0;
+    std::uint64_t completed = 0;
+    std::uint64_t retries = 0;
+};
+
+WorkCounts
+countedRun(const SystemConfig &config, const nn::Graph &graph)
+{
+    obs::MetricsRegistry registry;
+    registry.attach();
+    runOn(config, graph);
+    registry.detach();
+    return {registry.counter("rt.placement_evals").value(),
+            registry.counter("rt.ops_completed").value(),
+            registry.counter("rt.retries").value()};
 }
 
 } // namespace
@@ -217,4 +258,33 @@ TEST(ExecutorDeath, RunningTwiceIsFatal)
     executor.run(graph, 1);
     EXPECT_EXIT(executor.run(graph, 1), testing::ExitedWithCode(1),
                 "called twice");
+}
+
+TEST(Executor, EveryPlacementEvaluationPlacesAnOp)
+{
+    // Dispatch evaluates decidePlacement() only for ops it can place:
+    // one evaluation per completed op, plus one per retried attempt.
+    auto hetero = makeConfig(SystemKind::HeteroPim);
+    auto vgg = nn::buildVgg19();
+    WorkCounts counts = countedRun(hetero, vgg);
+    EXPECT_EQ(counts.completed, 2u * vgg.size());
+    EXPECT_EQ(counts.evals, counts.completed);
+
+    auto wide = wideTowers();
+    EXPECT_GE(wide.size(), 400u);
+    counts = countedRun(hetero, wide);
+    EXPECT_EQ(counts.completed, 2u * wide.size());
+    EXPECT_EQ(counts.evals, counts.completed);
+
+    // Faults: transient retries, and the whole pool dying mid-run.
+    auto faulty = hetero;
+    faulty.faults.enabled = true;
+    faulty.faults.killBanks = faulty.fixed.banks;
+    faulty.faults.transientRatePerOp = 1e-3;
+    faulty.faults.stallRatePerOp = 1e-3;
+    auto alexnet = nn::buildAlexNet();
+    counts = countedRun(faulty, alexnet);
+    EXPECT_EQ(counts.completed, 2u * alexnet.size());
+    EXPECT_GT(counts.retries, 0u);
+    EXPECT_EQ(counts.evals, counts.completed + counts.retries);
 }

@@ -374,7 +374,7 @@ parse(const std::string &text)
 }
 
 void
-escape(std::string &out, const std::string &text)
+escape(std::string &out, std::string_view text)
 {
     for (char c : text) {
         switch (c) {

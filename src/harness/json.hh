@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -87,7 +88,7 @@ class Value
 Value parse(const std::string &text);
 
 /** Write @p text JSON-escaped (quotes, backslashes, control chars). */
-void escape(std::string &out, const std::string &text);
+void escape(std::string &out, std::string_view text);
 
 } // namespace hpim::harness::json
 

@@ -1,6 +1,6 @@
 #include "harness/json_writer.hh"
 
-#include <cstdio>
+#include <charconv>
 #include <limits>
 
 #include "harness/json.hh"
@@ -8,19 +8,48 @@
 
 namespace hpim::harness::json {
 
+namespace {
+
+/** Append @p args formatted by std::to_chars. */
+template <typename... Args>
+void
+appendChars(std::string &out, Args... args)
+{
+    char buf[40];
+    out.append(buf, std::to_chars(buf, buf + sizeof buf, args...).ptr);
+}
+
+/** chars_format::general at max_digits10, which the standard defines
+ *  as printf's "%.17g". */
+void
+appendDouble(std::string &out, double value)
+{
+    appendChars(out, value, std::chars_format::general,
+                std::numeric_limits<double>::max_digits10);
+}
+
+} // namespace
+
 std::string
 numberToString(double value)
 {
-    char buf[40];
-    std::snprintf(buf, sizeof buf, "%.*g",
-                  std::numeric_limits<double>::max_digits10, value);
-    return buf;
+    std::string out;
+    appendDouble(out, value);
+    return out;
 }
 
 Writer::~Writer()
 {
     // A half-written document is a bug in the caller, but a destructor
-    // must not throw/abort during unwinding; leave the stream as-is.
+    // must not throw/abort during unwinding; hand over what was built.
+    flush();
+}
+
+void
+Writer::flush()
+{
+    _os.write(_out.data(), static_cast<std::streamsize>(_out.size()));
+    _out.clear();
 }
 
 void
@@ -36,15 +65,25 @@ Writer::preValue()
     panic_if(_stack.back() == Frame::Object,
              "json writer: object member needs key() first");
     if (!_first.back())
-        _os << ',';
+        _out += ',';
     _first.back() = false;
+}
+
+Writer &
+Writer::postValue()
+{
+    if (_stack.empty())
+        _root_done = true;
+    if (_root_done || _out.size() >= flushBytes)
+        flush();
+    return *this;
 }
 
 Writer &
 Writer::beginObject()
 {
     preValue();
-    _os << '{';
+    _out += '{';
     _stack.push_back(Frame::Object);
     _first.push_back(true);
     return *this;
@@ -56,19 +95,17 @@ Writer::endObject()
     panic_if(_stack.empty() || _stack.back() != Frame::Object
                  || _expect_value,
              "json writer: endObject() without matching beginObject()");
-    _os << '}';
+    _out += '}';
     _stack.pop_back();
     _first.pop_back();
-    if (_stack.empty())
-        _root_done = true;
-    return *this;
+    return postValue();
 }
 
 Writer &
 Writer::beginArray()
 {
     preValue();
-    _os << '[';
+    _out += '[';
     _stack.push_back(Frame::Array);
     _first.push_back(true);
     return *this;
@@ -79,12 +116,10 @@ Writer::endArray()
 {
     panic_if(_stack.empty() || _stack.back() != Frame::Array,
              "json writer: endArray() without matching beginArray()");
-    _os << ']';
+    _out += ']';
     _stack.pop_back();
     _first.pop_back();
-    if (_stack.empty())
-        _root_done = true;
-    return *this;
+    return postValue();
 }
 
 Writer &
@@ -94,12 +129,11 @@ Writer::key(std::string_view name)
                  || _expect_value,
              "json writer: key() outside an object");
     if (!_first.back())
-        _os << ',';
+        _out += ',';
     _first.back() = false;
-    std::string out = "\"";
-    escape(out, std::string(name));
-    out += "\":";
-    _os << out;
+    _out += '"';
+    escape(_out, name);
+    _out += "\":";
     _expect_value = true;
     return *this;
 }
@@ -108,63 +142,50 @@ Writer &
 Writer::value(std::string_view text)
 {
     preValue();
-    std::string out = "\"";
-    escape(out, std::string(text));
-    out += '"';
-    _os << out;
-    if (_stack.empty())
-        _root_done = true;
-    return *this;
+    _out += '"';
+    escape(_out, text);
+    _out += '"';
+    return postValue();
 }
 
 Writer &
 Writer::value(double number)
 {
     preValue();
-    _os << numberToString(number);
-    if (_stack.empty())
-        _root_done = true;
-    return *this;
+    appendDouble(_out, number);
+    return postValue();
 }
 
 Writer &
 Writer::value(std::int64_t number)
 {
     preValue();
-    _os << number;
-    if (_stack.empty())
-        _root_done = true;
-    return *this;
+    appendChars(_out, number);
+    return postValue();
 }
 
 Writer &
 Writer::value(std::uint64_t number)
 {
     preValue();
-    _os << number;
-    if (_stack.empty())
-        _root_done = true;
-    return *this;
+    appendChars(_out, number);
+    return postValue();
 }
 
 Writer &
 Writer::value(bool flag)
 {
     preValue();
-    _os << (flag ? "true" : "false");
-    if (_stack.empty())
-        _root_done = true;
-    return *this;
+    _out += flag ? "true" : "false";
+    return postValue();
 }
 
 Writer &
 Writer::valueNull()
 {
     preValue();
-    _os << "null";
-    if (_stack.empty())
-        _root_done = true;
-    return *this;
+    _out += "null";
+    return postValue();
 }
 
 bool

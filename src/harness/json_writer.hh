@@ -8,7 +8,10 @@
  * escaping rules and the lossless double format live in exactly one
  * place. Output is compact (no whitespace), doubles are printed with
  * max_digits10 significant digits so strtod() recovers the exact
- * value, and strings go through json::escape. The writer validates
+ * value, and strings go through json::escape. A document is built in
+ * one string and written out when its root closes or the buffer
+ * passes flushBytes, so callers must not write to the stream while a
+ * document is open. The writer validates
  * nesting as it goes: a key outside an object, a bare value where a
  * key is required, or an unbalanced end*() panics, because every
  * caller is program-generated output where such a slip is a bug.
@@ -33,6 +36,9 @@ std::string numberToString(double value);
 class Writer
 {
   public:
+    /** Buffered bytes past which an open document is written out. */
+    static constexpr std::size_t flushBytes = std::size_t(1) << 16;
+
     explicit Writer(std::ostream &os) : _os(os) {}
 
     ~Writer();
@@ -77,8 +83,13 @@ class Writer
 
     /** Comma/colon bookkeeping before a value or container start. */
     void preValue();
+    /** Mark the root done once nothing is open; write the buffer
+     *  out when the document is done or the buffer is full. */
+    Writer &postValue();
+    void flush();
 
     std::ostream &_os;
+    std::string _out;
     std::vector<Frame> _stack;
     std::vector<bool> _first;   ///< first element of each open frame
     bool _expect_value = false; ///< a key was just written

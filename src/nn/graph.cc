@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "sim/hash.hh"
 #include "sim/logging.hh"
 
 namespace hpim::nn {
@@ -28,55 +29,55 @@ Graph::add(OpType type, std::string label, CostStructure cost,
     for (OpId in : op.inputs)
         _consumers[in].push_back(id);
 
-    // Fold this op into the structural signature (see graph.hh).
-    using hpim::sim::hashDouble;
-    using hpim::sim::hashString;
-    using hpim::sim::hashU64;
-    std::uint64_t h = hashU64(static_cast<std::uint64_t>(type),
-                              _signature);
-    h = hashString(op.label, h);
-    h = hashDouble(cost.muls, h);
-    h = hashDouble(cost.adds, h);
-    h = hashDouble(cost.specials, h);
-    h = hashDouble(cost.bytesRead, h);
-    h = hashDouble(cost.bytesWritten, h);
-    h = hashU64(parallelism.unitsPerLane, h);
-    h = hashDouble(parallelism.lanes, h);
-    for (OpId in : op.inputs)
-        h = hashU64(in, h);
-    _signature = h;
-
-    // Position-independent per-op digest: everything that determines
-    // the op's cost on any device model (type, cost fields, fixed
-    // parallelism) and nothing that merely locates or names it
-    // (label, id, inputs). Delta-evaluation keys on it (graph.hh).
-    std::uint64_t op_sig = hashU64(static_cast<std::uint64_t>(type));
-    op_sig = hashDouble(cost.muls, op_sig);
-    op_sig = hashDouble(cost.adds, op_sig);
-    op_sig = hashDouble(cost.specials, op_sig);
-    op_sig = hashDouble(cost.bytesRead, op_sig);
-    op_sig = hashDouble(cost.bytesWritten, op_sig);
-    op_sig = hashU64(parallelism.unitsPerLane, op_sig);
-    op_sig = hashDouble(parallelism.lanes, op_sig);
-    _op_signatures.push_back(op_sig);
-
-    // Input-cone digest: the op's own digest folded with each input's
-    // cone digest, in input order. Inputs precede their consumers, so
-    // one incremental pass suffices.
-    std::uint64_t sub_sig = hashU64(op_sig);
-    for (OpId in : op.inputs)
-        sub_sig = hashU64(_subtree_signatures[in], sub_sig);
-    _subtree_signatures.push_back(sub_sig);
-
     _ops.push_back(std::move(op));
+    _signature.value.store(0, std::memory_order_relaxed);
     return id;
 }
 
-std::size_t
-Graph::checkedIndex(OpId id) const
+namespace {
+
+/** Fold the op's cost fields and fixed parallelism into @p h. */
+std::uint64_t
+hashCost(const Operation &op, std::uint64_t h)
 {
-    panic_if(id >= _ops.size(), "op id ", id, " out of range");
-    return id;
+    using hpim::sim::hashDouble;
+    h = hashDouble(op.cost.muls, h);
+    h = hashDouble(op.cost.adds, h);
+    h = hashDouble(op.cost.specials, h);
+    h = hashDouble(op.cost.bytesRead, h);
+    h = hashDouble(op.cost.bytesWritten, h);
+    h = hpim::sim::hashU64(op.parallelism.unitsPerLane, h);
+    return hashDouble(op.parallelism.lanes, h);
+}
+
+} // namespace
+
+std::uint64_t
+Graph::signature() const
+{
+    using hpim::sim::hashU64;
+    std::uint64_t h = _signature.value.load(std::memory_order_relaxed);
+    if (h != 0)
+        return h;
+    h = hpim::sim::hashString(_name);
+    for (const Operation &op : _ops) {
+        h = hashU64(static_cast<std::uint64_t>(op.type), h);
+        h = hashCost(op, hpim::sim::hashString(op.label, h));
+        for (OpId in : op.inputs)
+            h = hashU64(in, h);
+    }
+    // Racing first readers store the same value, so no ordering with
+    // other data is needed.
+    _signature.value.store(h, std::memory_order_relaxed);
+    return h;
+}
+
+std::uint64_t
+Graph::opSignature(OpId id) const
+{
+    const Operation &o = op(id);
+    return hashCost(
+        o, hpim::sim::hashU64(static_cast<std::uint64_t>(o.type)));
 }
 
 const Operation &

@@ -11,13 +11,13 @@
 #ifndef HPIM_NN_GRAPH_HH
 #define HPIM_NN_GRAPH_HH
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "nn/op_cost.hh"
 #include "nn/op_type.hh"
-#include "sim/hash.hh"
 
 namespace hpim::nn {
 
@@ -52,10 +52,7 @@ struct Operation
 class Graph
 {
   public:
-    explicit Graph(std::string name)
-        : _name(std::move(name)),
-          _signature(hpim::sim::hashString(_name))
-    {}
+    explicit Graph(std::string name) : _name(std::move(name)) {}
 
     /**
      * Append an operation.
@@ -95,51 +92,40 @@ class Graph
 
     /**
      * Deterministic structural digest over the name and every op
-     * (type, label, cost, parallelism, inputs), folded incrementally
-     * by add(). Two graphs with equal signatures went through the
-     * same construction; sim::MemoCache keys on it.
+     * (type, label, cost, parallelism, inputs), in op order. Two
+     * graphs with equal signatures went through the same
+     * construction; sim::MemoCache and journal grid hashes key on it.
+     * Computed on first call and cached until the next add();
+     * concurrent first reads are safe and agree.
      */
-    std::uint64_t signature() const { return _signature; }
+    std::uint64_t signature() const;
 
     /**
      * Position-independent digest of one op: type, cost structure
      * (bit patterns) and fixed parallelism -- *not* the label, id or
      * inputs. Two ops with equal opSignature() cost exactly the same
      * on any device model, wherever they sit in whichever graph, so
-     * per-op profile/model results memoize on it (the delta-evaluation
-     * sub-key tier, docs/PERFORMANCE.md). Computed by add().
+     * per-op profile results memoize on it (docs/PERFORMANCE.md).
+     * Computed per call, so only a memoizing reader pays for it.
      */
-    std::uint64_t
-    opSignature(OpId id) const
-    {
-        return _op_signatures[checkedIndex(id)];
-    }
-
-    /**
-     * Digest of the op's whole input cone: its opSignature() folded
-     * with the subtreeSignature() of every input, in input order.
-     * Equal subtree signatures mean structurally identical sub-graphs
-     * feeding structurally identical ops -- the key for memoizing
-     * cone-dependent results. Labels and absolute ids do not
-     * participate, so a repeated block (e.g. a transformer layer)
-     * hashes equal at every repetition. Computed by add().
-     */
-    std::uint64_t
-    subtreeSignature(OpId id) const
-    {
-        return _subtree_signatures[checkedIndex(id)];
-    }
+    std::uint64_t opSignature(OpId id) const;
 
   private:
-    /** Bounds-checked id -> index (panics on a foreign id). */
-    std::size_t checkedIndex(OpId id) const;
+    /** The lazily computed signature (0: not yet computed); copies
+     *  and moves carry a computed value over. */
+    struct CachedDigest
+    {
+        mutable std::atomic<std::uint64_t> value{0};
+        CachedDigest() = default;
+        CachedDigest(const CachedDigest &o) : value(o.value.load()) {}
+        CachedDigest &operator=(const CachedDigest &o)
+        { value = o.value.load(); return *this; }
+    };
 
     std::string _name;
     std::vector<Operation> _ops;
     std::vector<std::vector<OpId>> _consumers;
-    std::uint64_t _signature;
-    std::vector<std::uint64_t> _op_signatures;
-    std::vector<std::uint64_t> _subtree_signatures;
+    CachedDigest _signature;
 };
 
 } // namespace hpim::nn

@@ -24,6 +24,10 @@ namespace {
 
 constexpr double kWorkEpsilon = 1.0; // flops considered "done"
 
+/** OffloadClass enumerator names, for diagnostics. */
+constexpr const char *offloadClassNames[] = {
+    "FixedFunction", "Recursive", "ProgrammableOnly", "DataMovement"};
+
 } // namespace
 
 std::string
@@ -310,6 +314,8 @@ Executor::decidePlacement(const OpKey &key, std::uint32_t level,
         return std::nullopt;
     }
 
+    // A candidate whose class's preferred device is absent takes an
+    // idle CPU whatever its size; otherwise only small ones do.
     switch (cls) {
       case OffloadClass::FixedFunction:
         // Principle 1: fixed-function PIMs first. When they are all
@@ -317,7 +323,7 @@ Executor::decidePlacement(const OpKey &key, std::uint32_t level,
         // rather than letting it idle; large kernels wait for trees.
         if (fixed_tree_free)
             return PlacedOn::FixedPool;
-        if (cpu_free && meta.smallOnCpu)
+        if (cpu_free && (!_config.hasFixedPim || meta.smallOnCpu))
             return PlacedOn::Cpu;
         return std::nullopt;
       case OffloadClass::Recursive:
@@ -334,7 +340,7 @@ Executor::decidePlacement(const OpKey &key, std::uint32_t level,
       case OffloadClass::DataMovement:
         if (has_progr)
             return PlacedOn::ProgrPim;
-        if (cpu_free && meta.smallOnCpu)
+        if (cpu_free && (!_config.hasProgrPim || meta.smallOnCpu))
             return PlacedOn::Cpu;
         return std::nullopt;
     }
@@ -1334,6 +1340,12 @@ Executor::run(const std::vector<WorkloadSpec> &workloads)
     // Far beyond any study in the paper, but check rather than let a
     // pathological spec allocate per-step state without bound.
     fatal_if(workloads.size() > 255, "too many workloads to pack");
+    // Atom sets a run can reach: an absent device is never idle.
+    unsigned absent = (_progr_free ? 0u : ProgrFree)
+                      | (_fixed_capacity ? 0u : TreeFree);
+    unsigned reachable = 0;
+    for (unsigned a = 0; a < 8; ++a)
+        reachable |= (a & absent) ? 0u : 1u << a;
     for (const WorkloadSpec &spec : workloads) {
         fatal_if(spec.graph == nullptr, "workload without a graph");
         fatal_if(spec.steps == 0, "workload with zero steps");
@@ -1363,8 +1375,14 @@ Executor::run(const std::vector<WorkloadSpec> &workloads)
             std::size_t facts = std::size_t(meta.cls) << 2
                                 | std::size_t(meta.candidate) << 1
                                 | std::size_t(meta.smallOnCpu);
-            if (tables[facts] < 0)
+            if (tables[facts] < 0) {
                 tables[facts] = placementTable(OpKey{w, 0, id}, 0);
+                fatal_if((tables[facts] & reachable) == 0, "op '",
+                         o.label, "' of '", graph.name(), "' (class ",
+                         offloadClassNames[std::size_t(meta.cls)],
+                         ") has no placement on config '", _config.name,
+                         "'");
+            }
             meta.bucket = bucketFor(static_cast<std::uint8_t>(tables[facts]),
                                     meta.unitsPerLane);
         }

@@ -67,6 +67,17 @@ HeteroRuntime::prepare(const Graph &graph) const
     if (!_config.dynamicScheduling)
         return result;
 
+    // With the cache off or suspended no key can hit, so skip the
+    // graph digest and the report copies that only feed the cache.
+    if (!hpim::sim::MemoCache::active()) {
+        hpim::sim::checkDeadline("profile");
+        Profiler profiler{hpim::cpu::CpuModel(_config.cpu)};
+        result.profile = profiler.profile(graph);
+        result.selection = selectOffloadCandidates(
+            result.profile, _config.offloadCoveragePct);
+        return result;
+    }
+
     auto &cache = hpim::sim::MemoCache::instance();
     std::uint64_t cpu_key = cpuKey(_config.cpu);
     std::uint64_t profile_key = hashU64(cpu_key,

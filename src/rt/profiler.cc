@@ -62,22 +62,23 @@ Profiler::profileImpl(const Graph &graph,
                       const std::uint64_t *cpu_key) const
 {
     auto &cache = hpim::sim::MemoCache::instance();
+    bool memo = cpu_key != nullptr && hpim::sim::MemoCache::active();
     ProfileReport report;
     report.ops.reserve(graph.size());
 
     std::map<OpType, TypeProfile> agg;
     for (const Operation &op : graph.ops()) {
         OpProfile p;
-        // id/type/label locate the sample in *this* graph and are
-        // filled from the live op; only the position-independent
-        // metrics go through the cache.
+        // id/type locate the sample in *this* graph and are filled
+        // from the live op; only the position-independent metrics go
+        // through the cache.
         p.id = op.id;
         p.type = op.type;
-        p.label = op.label;
+        std::uint64_t op_sig = memo ? graph.opSignature(op.id) : 0;
         std::shared_ptr<const OpCostSample> sample;
-        if (cpu_key != nullptr) {
-            sample = cache.findPartial<OpCostSample>(
-                graph.opSignature(op.id), *cpu_key, "rt.profile.op");
+        if (memo) {
+            sample = cache.findPartial<OpCostSample>(op_sig, *cpu_key,
+                                                     "rt.profile.op");
         }
         if (sample != nullptr) {
             p.timeSec = sample->timeSec;
@@ -85,9 +86,9 @@ Profiler::profileImpl(const Graph &graph,
         } else {
             p.timeSec = _cpu.opSeconds(op.cost);
             p.mainMemoryAccesses = _cpu.mainMemoryAccesses(op.cost);
-            if (cpu_key != nullptr) {
+            if (memo) {
                 cache.putPartial<OpCostSample>(
-                    graph.opSignature(op.id), *cpu_key, "rt.profile.op",
+                    op_sig, *cpu_key, "rt.profile.op",
                     std::make_shared<const OpCostSample>(OpCostSample{
                         p.timeSec, p.mainMemoryAccesses}));
             }

@@ -13,7 +13,6 @@
 #define HPIM_RT_PROFILER_HH
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "cpu/cpu_model.hh"
@@ -21,12 +20,12 @@
 
 namespace hpim::rt {
 
-/** Profile of one operation instance. */
+/** Profile of one operation instance: plain data, so copying a
+ *  report allocates nothing per op (the label is graph.op(id).label). */
 struct OpProfile
 {
     hpim::nn::OpId id = hpim::nn::invalidOp;
     hpim::nn::OpType type = hpim::nn::OpType::MatMul;
-    std::string label;
     double timeSec = 0.0;
     double mainMemoryAccesses = 0.0;
 };
@@ -73,7 +72,8 @@ class Profiler
      * @p cpu_key, the caller's exact digest of every CpuParams field.
      * A partial hit returns the bit-identical pair an identical
      * (cost, CPU) computation produced, so the report matches
-     * profile() byte for byte; only the work is saved.
+     * profile() byte for byte; only the work is saved. While the
+     * cache is inactive no op digest is computed at all.
      */
     ProfileReport profileDelta(const hpim::nn::Graph &graph,
                                std::uint64_t cpu_key) const;

@@ -13,6 +13,8 @@
 #include "obs/metrics.hh"
 #include "rt/executor.hh"
 #include "rt/hetero_runtime.hh"
+#include "rt/schedule_validator.hh"
+#include "schedule_fuzz_points.hh"
 
 using namespace hpim;
 using namespace hpim::rt;
@@ -258,6 +260,71 @@ TEST(ExecutorDeath, RunningTwiceIsFatal)
     executor.run(graph, 1);
     EXPECT_EXIT(executor.run(graph, 1), testing::ExitedWithCode(1),
                 "called twice");
+}
+
+/** One-op graph whose CPU time is far over cpuFallbackThresholdSec. */
+nn::Graph
+oneLargeOp(nn::OpType type)
+{
+    nn::CostStructure cost;
+    cost.muls = 1e12;
+    nn::Graph graph("one-op");
+    graph.add(type, "big", cost, nn::fixedParallelism(type, 1, 1.0));
+    return graph;
+}
+
+TEST(Executor, LargeFixedCandidateWithoutFixedPoolRunsOnCpu)
+{
+    // Dynamic scheduling with no fixed pool used to leave a large
+    // FixedFunction candidate with no placement under any device
+    // state; it now takes the idle CPU, as a Recursive op does.
+    std::size_t index = 313;
+    sim::Rng rng(sim::Rng::streamSeed(0x5ca11ed, index));
+    schedfuzz::FuzzPoint point =
+        schedfuzz::drawFuzzPoint(index, rng, false);
+    ASSERT_TRUE(point.config.dynamicScheduling);
+    ASSERT_FALSE(point.config.hasFixedPim);
+
+    Executor executor(point.config);
+    ScheduleTrace trace;
+    executor.attachTrace(&trace);
+    std::vector<WorkloadSpec> workloads = point.workloads();
+    executor.run(workloads);
+    std::vector<const nn::Graph *> graphs;
+    std::vector<std::uint32_t> steps;
+    for (const WorkloadSpec &workload : workloads) {
+        graphs.push_back(workload.graph);
+        steps.push_back(workload.steps);
+    }
+    EXPECT_TRUE(validateSchedule(trace, graphs, steps, point.config)
+                    .violations.empty());
+}
+
+TEST(Executor, LargeProgrCandidateWithoutProgrPimRunsOnCpu)
+{
+    auto config = makeConfig(SystemKind::HeteroPim);
+    config.hasProgrPim = false;
+    config.recursiveKernels = false;
+    config.dynamicScheduling = true;
+    auto graph = oneLargeOp(nn::OpType::Relu);
+    Executor executor(config);
+    ExecutionReport report = executor.run(graph, 1);
+    EXPECT_EQ(report.opsByPlacement[PlacedOn::Cpu], 1u);
+}
+
+TEST(ExecutorDeath, OpWithNoReachablePlacementIsFatal)
+{
+    // RC needs the programmable PIM: without it a large Recursive
+    // candidate could never be placed, so run() refuses up front.
+    auto config = makeConfig(SystemKind::HeteroPim);
+    config.hasProgrPim = false;
+    config.recursiveKernels = true;
+    config.dynamicScheduling = true;
+    auto graph = oneLargeOp(nn::OpType::MatMulGradWeights);
+    Executor executor(config);
+    EXPECT_EXIT(executor.run(graph, 1), testing::ExitedWithCode(1),
+                "op 'big' of 'one-op' \\(class Recursive\\) has no "
+                "placement");
 }
 
 TEST(Executor, EveryPlacementEvaluationPlacesAnOp)

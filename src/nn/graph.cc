@@ -8,28 +8,41 @@
 namespace hpim::nn {
 
 OpId
-Graph::add(OpType type, std::string label, CostStructure cost,
-           FixedParallelism parallelism, std::vector<OpId> inputs)
+Graph::add(OpType type, std::string_view label, CostStructure cost,
+           FixedParallelism parallelism, std::span<const OpId> inputs)
 {
     OpId id = static_cast<OpId>(_ops.size());
     for (OpId in : inputs) {
         fatal_if(in >= id, "op '", label, "' depends on op ", in,
                  " which does not precede it");
     }
+    fatal_if(_labels.size() + label.size() > noEdge
+                 || _inputs.size() + inputs.size() >= noEdge,
+             "graph '", _name, "' outgrew its 32-bit arenas");
 
-    Operation op;
+    Operation &op = _ops.emplace_back();
     op.id = id;
     op.type = type;
-    op.label = std::move(label);
     op.cost = cost;
     op.parallelism = parallelism;
-    op.inputs = std::move(inputs);
+    op.labelOffset = static_cast<std::uint32_t>(_labels.size());
+    op.labelLength = static_cast<std::uint32_t>(label.size());
+    op.inputOffset = static_cast<std::uint32_t>(_inputs.size());
+    op.inputCount = static_cast<std::uint32_t>(inputs.size());
+    _labels.append(label);
 
-    _consumers.emplace_back();
-    for (OpId in : op.inputs)
-        _consumers[in].push_back(id);
+    for (OpId in : inputs) {
+        auto edge = static_cast<std::uint32_t>(_inputs.size());
+        _inputs.push_back(in);
+        _edges.push_back({id, noEdge});
+        Operation &producer = _ops[in];
+        if (producer.lastConsumer == noEdge)
+            producer.firstConsumer = edge;
+        else
+            _edges[producer.lastConsumer].next = edge;
+        producer.lastConsumer = edge;
+    }
 
-    _ops.push_back(std::move(op));
     _signature.value.store(0, std::memory_order_relaxed);
     return id;
 }
@@ -62,8 +75,8 @@ Graph::signature() const
     h = hpim::sim::hashString(_name);
     for (const Operation &op : _ops) {
         h = hashU64(static_cast<std::uint64_t>(op.type), h);
-        h = hashCost(op, hpim::sim::hashString(op.label, h));
-        for (OpId in : op.inputs)
+        h = hashCost(op, hpim::sim::hashString(label(op.id), h));
+        for (OpId in : inputs(op.id))
             h = hashU64(in, h);
     }
     // Racing first readers store the same value, so no ordering with
@@ -78,39 +91,6 @@ Graph::opSignature(OpId id) const
     const Operation &o = op(id);
     return hashCost(
         o, hpim::sim::hashU64(static_cast<std::uint64_t>(o.type)));
-}
-
-const Operation &
-Graph::op(OpId id) const
-{
-    panic_if(id >= _ops.size(), "op id ", id, " out of range");
-    return _ops[id];
-}
-
-std::vector<OpId>
-Graph::topoOrder() const
-{
-    std::vector<OpId> order(_ops.size());
-    for (OpId i = 0; i < _ops.size(); ++i)
-        order[i] = i;
-    return order;
-}
-
-std::vector<OpId>
-Graph::readyOps(const std::vector<bool> &done) const
-{
-    panic_if(done.size() != _ops.size(), "done vector size mismatch");
-    std::vector<OpId> ready;
-    for (const Operation &op : _ops) {
-        if (done[op.id])
-            continue;
-        bool all_in = std::all_of(
-            op.inputs.begin(), op.inputs.end(),
-            [&done](OpId in) { return done[in]; });
-        if (all_in)
-            ready.push_back(op.id);
-    }
-    return ready;
 }
 
 CostStructure
@@ -138,7 +118,7 @@ Graph::criticalPathLength() const
     std::vector<std::size_t> depth(_ops.size(), 1);
     std::size_t longest = _ops.empty() ? 0 : 1;
     for (const Operation &op : _ops) {
-        for (OpId in : op.inputs)
+        for (OpId in : inputs(op.id))
             depth[op.id] = std::max(depth[op.id], depth[in] + 1);
         longest = std::max(longest, depth[op.id]);
     }

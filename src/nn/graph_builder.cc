@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <map>
 
 #include "sim/logging.hh"
 
@@ -63,12 +62,41 @@ Builder::newTensor(OpId op, TensorShape shape, std::int32_t record)
     return ref;
 }
 
-std::vector<OpId>
+TensorRef
+Builder::record(TapeRecord &rec, OpId op, const TensorShape &out)
+{
+    rec.outShape = out;
+    TensorRef result =
+        newTensor(op, out, static_cast<std::int32_t>(_tape.size()));
+    rec.out = result.tid;
+    _tape.push_back(std::move(rec));
+    return result;
+}
+
+std::span<const OpId>
 Builder::depsOf(TensorRef ref) const
 {
-    OpId op = entry(ref).op;
-    return op == invalidOp ? std::vector<OpId>{}
-                           : std::vector<OpId>{op};
+    const OpId &op = entry(ref).op;
+    return {&op, op == invalidOp ? 0u : 1u};
+}
+
+std::span<const OpId>
+Builder::depsOf(TensorRef a, TensorRef b, OpId (&buf)[2]) const
+{
+    std::size_t n = 0;
+    for (TensorRef ref : {a, b})
+        for (OpId d : depsOf(ref))
+            buf[n++] = d;
+    return {buf, n};
+}
+
+template <typename... Parts>
+std::string_view
+Builder::opLabel(const Parts &...parts)
+{
+    _label.clear();
+    (_label.append(parts), ...);
+    return _label;
 }
 
 TensorRef
@@ -79,13 +107,13 @@ Builder::input(TensorShape shape)
 }
 
 OpId
-Builder::rawOp(OpType type, std::string label, CostStructure cost,
-               FixedParallelism parallelism, std::vector<OpId> inputs)
+Builder::rawOp(OpType type, std::string_view label, CostStructure cost,
+               FixedParallelism parallelism,
+               std::initializer_list<OpId> inputs)
 {
     fatal_if(_finished,
              "Builder already finished; no further ops may be added");
-    return _graph.add(type, std::move(label), cost, parallelism,
-                      std::move(inputs));
+    return _graph.add(type, label, cost, parallelism, inputs);
 }
 
 const TensorShape &
@@ -122,18 +150,18 @@ Builder::conv2d(TensorRef x, std::int64_t k, std::int64_t c_out,
     rec.label = "conv" + std::to_string(++_conv_index);
     rec.params = k * k * in.dim(3) * c_out + c_out;
 
-    std::vector<OpId> deps = depsOf(x);
+    std::span<const OpId> deps = depsOf(x);
     CostStructure cost = conv2dCost(in, k, c_out, stride);
     std::int64_t reduction = k * k; // one spatial tap tree, paper-style
     TensorShape out{in.dim(0), ceilDiv(in.dim(1), stride),
                     ceilDiv(in.dim(2), stride), c_out};
     double lanes = static_cast<double>(out.elems());
     OpId conv_id = _graph.add(
-        OpType::Conv2D, rec.label + "/Conv2D", cost,
+        OpType::Conv2D, opLabel(rec.label, "/Conv2D"), cost,
         fixedParallelism(OpType::Conv2D, reduction, lanes), deps);
 
     OpId bias_id = _graph.add(
-        OpType::BiasAdd, rec.label + "/BiasAdd",
+        OpType::BiasAdd, opLabel(rec.label, "/BiasAdd"),
         biasAddCost(out, c_out),
         fixedParallelism(OpType::BiasAdd, 1, double(out.elems())),
         {conv_id});
@@ -141,19 +169,14 @@ Builder::conv2d(TensorRef x, std::int64_t k, std::int64_t c_out,
     rec.fwdOp = bias_id;
     OpId act = bias_id;
     if (relu) {
-        act = _graph.add(OpType::Relu, rec.label + "/Relu",
+        act = _graph.add(OpType::Relu, opLabel(rec.label, "/Relu"),
                          activationCost(OpType::Relu, out),
                          fixedParallelism(OpType::Relu, 1, 0.0),
                          {bias_id});
         rec.actOp = act;
     }
 
-    rec.outShape = out;
-    TensorRef result =
-        newTensor(act, out, static_cast<std::int32_t>(_tape.size()));
-    rec.out = result.tid;
-    _tape.push_back(std::move(rec));
-    return result;
+    return record(rec, act, out);
 }
 
 TensorRef
@@ -176,37 +199,34 @@ Builder::deconv2d(TensorRef x, std::int64_t k, std::int64_t c_out,
     rec.label = "deconv" + std::to_string(++_conv_index);
     rec.params = k * k * in.dim(3) * c_out + c_out;
 
-    std::vector<OpId> deps = depsOf(x);
+    std::span<const OpId> deps = depsOf(x);
     TensorShape out{in.dim(0), in.dim(1) * up, in.dim(2) * up, c_out};
     // conv2d_transpose == Conv2DBackpropInput on the output geometry.
     CostStructure cost = conv2dBackpropInputCost(out, k, in.dim(3), up);
     OpId id = _graph.add(
-        OpType::Conv2DBackpropInput, rec.label + "/Conv2DBackpropInput",
+        OpType::Conv2DBackpropInput,
+        opLabel(rec.label, "/Conv2DBackpropInput"),
         cost,
         fixedParallelism(OpType::Conv2DBackpropInput, k * k,
                          double(out.elems())),
         deps);
 
     OpId bias_id = _graph.add(
-        OpType::BiasAdd, rec.label + "/BiasAdd", biasAddCost(out, c_out),
+        OpType::BiasAdd, opLabel(rec.label, "/BiasAdd"),
+        biasAddCost(out, c_out),
         fixedParallelism(OpType::BiasAdd, 1, double(out.elems())), {id});
 
     rec.fwdOp = bias_id;
     OpId act = bias_id;
     if (relu) {
-        act = _graph.add(OpType::Relu, rec.label + "/Relu",
+        act = _graph.add(OpType::Relu, opLabel(rec.label, "/Relu"),
                          activationCost(OpType::Relu, out),
                          fixedParallelism(OpType::Relu, 1, 0.0),
                          {bias_id});
         rec.actOp = act;
     }
 
-    rec.outShape = out;
-    TensorRef result =
-        newTensor(act, out, static_cast<std::int32_t>(_tape.size()));
-    rec.out = result.tid;
-    _tape.push_back(std::move(rec));
-    return result;
+    return record(rec, act, out);
 }
 
 TensorRef
@@ -236,17 +256,12 @@ Builder::pool(TensorRef x, TapeKind kind, std::int64_t kh,
     CostStructure cost = square ? poolCost(type, in, kh, sh)
                                 : poolCost2d(type, in, kh, kw, sh, sw);
     OpId id = _graph.add(
-        type, rec.label + (max ? "/MaxPool" : "/AvgPool"), cost,
+        type, opLabel(rec.label, max ? "/MaxPool" : "/AvgPool"), cost,
         fixedParallelism(type, 1, 0.0), depsOf(x));
     rec.fwdOp = id;
     TensorShape out{in.dim(0), ceilDiv(in.dim(1), sh),
                     ceilDiv(in.dim(2), sw), in.dim(3)};
-    rec.outShape = out;
-    TensorRef result =
-        newTensor(id, out, static_cast<std::int32_t>(_tape.size()));
-    rec.out = result.tid;
-    _tape.push_back(std::move(rec));
-    return result;
+    return record(rec, id, out);
 }
 
 TensorRef
@@ -296,7 +311,7 @@ Builder::dense(TensorRef x, std::int64_t units, bool relu)
     rec.params = in_dim * units + units;
 
     OpId mm = _graph.add(
-        OpType::MatMul, rec.label + "/MatMul",
+        OpType::MatMul, opLabel(rec.label, "/MatMul"),
         matmulCost(in.dim(0), in_dim, units),
         fixedParallelism(OpType::MatMul, std::min<std::int64_t>(in_dim, 64),
                          double(in.dim(0) * units)),
@@ -304,24 +319,20 @@ Builder::dense(TensorRef x, std::int64_t units, bool relu)
 
     TensorShape out{in.dim(0), units};
     OpId bias_id = _graph.add(
-        OpType::BiasAdd, rec.label + "/BiasAdd", biasAddCost(out, units),
+        OpType::BiasAdd, opLabel(rec.label, "/BiasAdd"),
+        biasAddCost(out, units),
         fixedParallelism(OpType::BiasAdd, 1, double(out.elems())), {mm});
 
     rec.fwdOp = bias_id;
     OpId act = bias_id;
     if (relu) {
-        act = _graph.add(OpType::Relu, rec.label + "/Relu",
+        act = _graph.add(OpType::Relu, opLabel(rec.label, "/Relu"),
                          activationCost(OpType::Relu, out),
                          fixedParallelism(OpType::Relu, 1, 0.0),
                          {bias_id});
         rec.actOp = act;
     }
-    rec.outShape = out;
-    TensorRef result =
-        newTensor(act, out, static_cast<std::int32_t>(_tape.size()));
-    rec.out = result.tid;
-    _tape.push_back(std::move(rec));
-    return result;
+    return record(rec, act, out);
 }
 
 TensorRef
@@ -343,22 +354,16 @@ Builder::matmul(TensorRef a, TensorRef b)
     rec.label = layerLabel("matmul");
 
     std::int64_t m = sa.dim(0), kk = sa.dim(1), n = sb.dim(1);
-    std::vector<OpId> deps = depsOf(a);
-    for (OpId d : depsOf(b))
-        deps.push_back(d);
+    OpId deps_buf[2];
+    std::span<const OpId> deps = depsOf(a, b, deps_buf);
     OpId id = _graph.add(
-        OpType::MatMul, rec.label + "/MatMul", matmulCost(m, kk, n),
+        OpType::MatMul, opLabel(rec.label, "/MatMul"), matmulCost(m, kk, n),
         fixedParallelism(OpType::MatMul, std::min<std::int64_t>(kk, 64),
                          double(m * n)),
         deps);
     rec.fwdOp = id;
     TensorShape out{m, n};
-    rec.outShape = out;
-    TensorRef result =
-        newTensor(id, out, static_cast<std::int32_t>(_tape.size()));
-    rec.out = result.tid;
-    _tape.push_back(std::move(rec));
-    return result;
+    return record(rec, id, out);
 }
 
 // --------------------------------------------- normalization, movement
@@ -373,21 +378,16 @@ Builder::norm(TensorRef x, TapeKind kind, const char *base,
     rec.kind = kind;
     rec.in0 = x.tid;
     rec.inShape = in;
-    rec.outShape = in;
     rec.label = layerLabel(base);
     rec.params = 2 * in.dim(in.rank() - 1);
 
     OpId id = _graph.add(
-        OpType::BatchNorm, rec.label + op_suffix,
+        OpType::BatchNorm, opLabel(rec.label, op_suffix),
         batchNormCost(OpType::BatchNorm, in),
         fixedParallelism(OpType::BatchNorm, 1, double(in.elems())),
         depsOf(x));
     rec.fwdOp = id;
-    TensorRef result =
-        newTensor(id, in, static_cast<std::int32_t>(_tape.size()));
-    rec.out = result.tid;
-    _tape.push_back(std::move(rec));
-    return result;
+    return record(rec, id, in);
 }
 
 TensorRef
@@ -410,19 +410,14 @@ Builder::dropout(TensorRef x)
     rec.kind = TapeKind::Dropout;
     rec.in0 = x.tid;
     rec.inShape = in;
-    rec.outShape = in;
     rec.label = layerLabel("dropout");
 
-    OpId id = _graph.add(OpType::Dropout, rec.label + "/Dropout",
+    OpId id = _graph.add(OpType::Dropout, opLabel(rec.label, "/Dropout"),
                          dropoutCost(OpType::Dropout, in),
                          fixedParallelism(OpType::Dropout, 1, 0.0),
                          depsOf(x));
     rec.fwdOp = id;
-    TensorRef result =
-        newTensor(id, in, static_cast<std::int32_t>(_tape.size()));
-    rec.out = result.tid;
-    _tape.push_back(std::move(rec));
-    return result;
+    return record(rec, id, in);
 }
 
 TensorRef
@@ -437,17 +432,12 @@ Builder::flatten(TensorRef x)
     rec.label = layerLabel("flatten");
 
     OpId id = _graph.add(
-        OpType::Reshape, rec.label + "/Reshape",
+        OpType::Reshape, opLabel(rec.label, "/Reshape"),
         dataMovementCost(0.0), // metadata-only in TF
         fixedParallelism(OpType::Reshape, 1, 0.0), depsOf(x));
     rec.fwdOp = id;
     TensorShape out{in.dim(0), in.elems() / in.dim(0)};
-    rec.outShape = out;
-    TensorRef result =
-        newTensor(id, out, static_cast<std::int32_t>(_tape.size()));
-    rec.out = result.tid;
-    _tape.push_back(std::move(rec));
-    return result;
+    return record(rec, id, out);
 }
 
 TensorRef
@@ -462,18 +452,13 @@ Builder::transpose(TensorRef x)
     rec.inShape = in;
     rec.label = layerLabel("transpose");
 
-    OpId id = _graph.add(OpType::Transpose, rec.label + "/Transpose",
+    OpId id = _graph.add(OpType::Transpose, opLabel(rec.label, "/Transpose"),
                          dataMovementCost(double(in.bytes())),
                          fixedParallelism(OpType::Transpose, 1, 0.0),
                          depsOf(x));
     rec.fwdOp = id;
     TensorShape out{in.dim(1), in.dim(0)};
-    rec.outShape = out;
-    TensorRef result =
-        newTensor(id, out, static_cast<std::int32_t>(_tape.size()));
-    rec.out = result.tid;
-    _tape.push_back(std::move(rec));
-    return result;
+    return record(rec, id, out);
 }
 
 TensorRef
@@ -484,19 +469,14 @@ Builder::slice(TensorRef x)
     rec.kind = TapeKind::Slice;
     rec.in0 = x.tid;
     rec.inShape = in;
-    rec.outShape = in;
     rec.label = layerLabel("slice");
 
-    OpId id = _graph.add(OpType::Slice, rec.label + "/Slice",
+    OpId id = _graph.add(OpType::Slice, opLabel(rec.label, "/Slice"),
                          dataMovementCost(double(in.bytes())),
                          fixedParallelism(OpType::Slice, 1, 0.0),
                          depsOf(x));
     rec.fwdOp = id;
-    TensorRef result =
-        newTensor(id, in, static_cast<std::int32_t>(_tape.size()));
-    rec.out = result.tid;
-    _tape.push_back(std::move(rec));
-    return result;
+    return record(rec, id, in);
 }
 
 TensorRef
@@ -507,19 +487,14 @@ Builder::concat(TensorRef x)
     rec.kind = TapeKind::Concat;
     rec.in0 = x.tid;
     rec.inShape = in;
-    rec.outShape = in;
     rec.label = layerLabel("concat");
 
-    OpId id = _graph.add(OpType::Concat, rec.label + "/Concat",
+    OpId id = _graph.add(OpType::Concat, opLabel(rec.label, "/Concat"),
                          dataMovementCost(double(in.bytes())),
                          fixedParallelism(OpType::Concat, 1, 0.0),
                          depsOf(x));
     rec.fwdOp = id;
-    TensorRef result =
-        newTensor(id, in, static_cast<std::int32_t>(_tape.size()));
-    rec.out = result.tid;
-    _tape.push_back(std::move(rec));
-    return result;
+    return record(rec, id, in);
 }
 
 // ---------------------------------------------------- elementwise ops
@@ -535,21 +510,16 @@ Builder::add(TensorRef a, TensorRef b)
     rec.in0 = a.tid;
     rec.in1 = b.tid;
     rec.inShape = sa;
-    rec.outShape = sa;
     rec.label = layerLabel("add");
 
-    std::vector<OpId> deps = depsOf(a);
-    for (OpId d : depsOf(b))
-        deps.push_back(d);
+    OpId deps_buf[2];
+    std::span<const OpId> deps = depsOf(a, b, deps_buf);
     OpId id = _graph.add(
-        OpType::Add, rec.label + "/Add", elementwiseCost(OpType::Add, sa),
+        OpType::Add, opLabel(rec.label, "/Add"),
+        elementwiseCost(OpType::Add, sa),
         fixedParallelism(OpType::Add, 1, double(sa.elems())), deps);
     rec.fwdOp = id;
-    TensorRef result =
-        newTensor(id, sa, static_cast<std::int32_t>(_tape.size()));
-    rec.out = result.tid;
-    _tape.push_back(std::move(rec));
-    return result;
+    return record(rec, id, sa);
 }
 
 TensorRef
@@ -563,21 +533,16 @@ Builder::mul(TensorRef a, TensorRef b)
     rec.in0 = a.tid;
     rec.in1 = b.tid;
     rec.inShape = sa;
-    rec.outShape = sa;
     rec.label = layerLabel("mul");
 
-    std::vector<OpId> deps = depsOf(a);
-    for (OpId d : depsOf(b))
-        deps.push_back(d);
+    OpId deps_buf[2];
+    std::span<const OpId> deps = depsOf(a, b, deps_buf);
     OpId id = _graph.add(
-        OpType::Mul, rec.label + "/Mul", elementwiseCost(OpType::Mul, sa),
+        OpType::Mul, opLabel(rec.label, "/Mul"),
+        elementwiseCost(OpType::Mul, sa),
         fixedParallelism(OpType::Mul, 1, double(sa.elems())), deps);
     rec.fwdOp = id;
-    TensorRef result =
-        newTensor(id, sa, static_cast<std::int32_t>(_tape.size()));
-    rec.out = result.tid;
-    _tape.push_back(std::move(rec));
-    return result;
+    return record(rec, id, sa);
 }
 
 TensorRef
@@ -588,18 +553,14 @@ Builder::mulChain(TensorRef x)
     rec.kind = TapeKind::MulChain;
     rec.in0 = x.tid;
     rec.inShape = in;
-    rec.outShape = in;
     rec.label = layerLabel("mul");
 
     OpId id = _graph.add(
-        OpType::Mul, rec.label + "/Mul", elementwiseCost(OpType::Mul, in),
+        OpType::Mul, opLabel(rec.label, "/Mul"),
+        elementwiseCost(OpType::Mul, in),
         fixedParallelism(OpType::Mul, 1, double(in.elems())), depsOf(x));
     rec.fwdOp = id;
-    TensorRef result =
-        newTensor(id, in, static_cast<std::int32_t>(_tape.size()));
-    rec.out = result.tid;
-    _tape.push_back(std::move(rec));
-    return result;
+    return record(rec, id, in);
 }
 
 TensorRef
@@ -611,18 +572,13 @@ Builder::activation(TensorRef x, TapeKind kind, OpType type,
     rec.kind = kind;
     rec.in0 = x.tid;
     rec.inShape = in;
-    rec.outShape = in;
     rec.label = layerLabel(base);
 
-    OpId id = _graph.add(type, rec.label + "/" + opName(type),
+    OpId id = _graph.add(type, opLabel(rec.label, "/", opTraits(type).name),
                          activationCost(type, in),
                          fixedParallelism(type, 1, 0.0), depsOf(x));
     rec.fwdOp = id;
-    TensorRef result =
-        newTensor(id, in, static_cast<std::int32_t>(_tape.size()));
-    rec.out = result.tid;
-    _tape.push_back(std::move(rec));
-    return result;
+    return record(rec, id, in);
 }
 
 TensorRef
@@ -653,19 +609,14 @@ Builder::softmax(TensorRef x)
     rec.kind = TapeKind::Softmax;
     rec.in0 = x.tid;
     rec.inShape = in;
-    rec.outShape = in;
     rec.label = layerLabel("softmax");
 
     OpId id = _graph.add(
-        OpType::Softmax, rec.label + "/Softmax",
+        OpType::Softmax, opLabel(rec.label, "/Softmax"),
         softmaxCost(OpType::Softmax, in.dim(0), in.dim(1)),
         fixedParallelism(OpType::Softmax, 1, 0.0), depsOf(x));
     rec.fwdOp = id;
-    TensorRef result =
-        newTensor(id, in, static_cast<std::int32_t>(_tape.size()));
-    rec.out = result.tid;
-    _tape.push_back(std::move(rec));
-    return result;
+    return record(rec, id, in);
 }
 
 // -------------------------------------------------------- finishing
@@ -676,23 +627,6 @@ Builder::finishForward()
     fatal_if(_finished, "Builder already finished");
     _finished = true;
     return std::move(_graph);
-}
-
-void
-Builder::emitOptimizer(Optimizer optimizer, const std::string &label,
-                       std::int64_t params, OpId grad_op)
-{
-    if (optimizer == Optimizer::Adam) {
-        _graph.add(OpType::ApplyAdam, label + "/ApplyAdam",
-                   applyAdamCost(params),
-                   fixedParallelism(OpType::ApplyAdam, 1, 0.0),
-                   {grad_op});
-    } else {
-        _graph.add(OpType::ApplySgd, label + "/ApplySgd",
-                   applySgdCost(params),
-                   fixedParallelism(OpType::ApplySgd, 1, 0.0),
-                   {grad_op});
-    }
 }
 
 Graph
@@ -719,7 +653,7 @@ Builder::trainingStep(TensorRef logits, Optimizer optimizer,
     TensorShape loss_shape{batch, classes};
     for (std::size_t i = 0; i < extra_loss_muls; ++i) {
         mul_tail = _graph.add(
-            OpType::Mul, "loss/Mul_" + std::to_string(i),
+            OpType::Mul, opLabel("loss/Mul_", std::to_string(i)),
             elementwiseCost(OpType::Mul, loss_shape),
             fixedParallelism(OpType::Mul, 1, double(loss_shape.elems())),
             {mul_tail});
@@ -733,38 +667,74 @@ Builder::trainingStep(TensorRef logits, Optimizer optimizer,
     // ---- Reverse-mode tape walk. Contributions per tensor: a tape
     // record's consumers all sit later in the tape, so by the time the
     // walk reaches the producing record every contribution to its
-    // output is present and can be combined.
-    std::map<std::uint32_t, std::vector<OpId>> contributions;
-    contributions[logits.tid].push_back(loss_grad);
+    // output is present and can be combined. Each tensor's
+    // contributions are a list, in push order, over one node array.
+    constexpr std::uint32_t none = ~std::uint32_t(0);
+    struct Contribution
+    {
+        OpId grad;
+        std::uint32_t next;
+    };
+    struct ContributionList
+    {
+        std::uint32_t head = none;
+        std::uint32_t tail = none;
+    };
+    std::vector<Contribution> contributions;
+    contributions.reserve(2 * _tape.size());
+    std::vector<ContributionList> lists(_tensors.size());
+    auto contribute = [&](std::uint32_t tid, OpId grad_op) {
+        auto node = static_cast<std::uint32_t>(contributions.size());
+        contributions.push_back({grad_op, none});
+        ContributionList &list = lists[tid];
+        (list.tail == none ? list.head
+                           : contributions[list.tail].next) = node;
+        list.tail = node;
+    };
+    contribute(logits.tid, loss_grad);
 
-    std::vector<OpId> grad_ops; // parameter-gradient producers
-    std::vector<std::int64_t> grad_params;
-    std::vector<std::string> grad_labels;
+    // Parameter-gradient producers; labels stay (record, suffix) pairs
+    // until the optimizer op composes them.
+    struct ParamGrad
+    {
+        OpId op;
+        std::int64_t params;
+        const std::string *label;
+        const char *suffix;
+    };
+    std::vector<ParamGrad> param_grads;
+    param_grads.reserve(2 * _tape.size());
 
     // @return true when @p tid is produced by a tape record (a source
     // input needs no gradient op).
     auto produced = [this](std::uint32_t tid) {
         return _tensors[tid].record >= 0;
     };
-    auto contribute = [&](std::uint32_t tid, OpId grad_op) {
-        contributions[tid].push_back(grad_op);
+    // @return {grad, producer of @p tid}, the producer only if any.
+    OpId pair_buf[2];
+    auto withProducer = [&](OpId grad, std::uint32_t tid) {
+        pair_buf[0] = grad;
+        pair_buf[1] = _tensors[tid].op;
+        return std::span<const OpId>(
+            pair_buf, pair_buf[1] == invalidOp ? 1 : 2);
     };
 
     for (auto it = _tape.rbegin(); it != _tape.rend(); ++it) {
         const TapeRecord &rec = *it;
-        auto found = contributions.find(rec.out);
-        if (found == contributions.end())
+        std::uint32_t node = lists[rec.out].head;
+        if (node == none)
             continue; // not on the loss path; no gradient flows
         // Fan-out: sum the consumers' gradients pairwise.
-        OpId grad = found->second.front();
-        for (std::size_t i = 1; i < found->second.size(); ++i) {
+        OpId grad = contributions[node].grad;
+        for (std::size_t i = 0;
+             (node = contributions[node].next) != none; ++i) {
             grad = _graph.add(
                 OpType::Add,
-                rec.label + "/AddGrad_" + std::to_string(i - 1),
+                opLabel(rec.label, "/AddGrad_", std::to_string(i)),
                 elementwiseCost(OpType::Add, rec.outShape),
                 fixedParallelism(OpType::Add, 1,
                                  double(rec.outShape.elems())),
-                {grad, found->second[i]});
+                {grad, contributions[node].grad});
         }
 
         switch (rec.kind) {
@@ -772,38 +742,35 @@ Builder::trainingStep(TensorRef logits, Optimizer optimizer,
           case TapeKind::Deconv: {
             if (rec.relu) {
                 grad = _graph.add(
-                    OpType::ReluGrad, rec.label + "/ReluGrad",
+                    OpType::ReluGrad, opLabel(rec.label, "/ReluGrad"),
                     activationCost(OpType::ReluGrad, rec.outShape),
                     fixedParallelism(OpType::ReluGrad, 1, 0.0),
                     {grad, rec.actOp});
             }
             OpId bias_grad = _graph.add(
-                OpType::BiasAddGrad, rec.label + "/BiasAddGrad",
+                OpType::BiasAddGrad, opLabel(rec.label, "/BiasAddGrad"),
                 biasAddGradCost(rec.outShape, rec.cOut),
                 fixedParallelism(OpType::BiasAddGrad, 8,
                                  double(rec.cOut)),
                 {grad});
-            grad_ops.push_back(bias_grad);
-            grad_params.push_back(rec.cOut);
-            grad_labels.push_back(rec.label + "/bias");
+            param_grads.push_back({bias_grad, rec.cOut, &rec.label, "/bias"});
 
             OpId w_grad = _graph.add(
                 OpType::Conv2DBackpropFilter,
-                rec.label + "/Conv2DBackpropFilter",
+                opLabel(rec.label, "/Conv2DBackpropFilter"),
                 conv2dBackpropFilterCost(rec.inShape, rec.kH, rec.cOut,
                                          rec.sH),
                 fixedParallelism(OpType::Conv2DBackpropFilter,
                                  rec.kH * rec.kW,
                                  double(rec.params)),
                 {grad, rec.fwdOp});
-            grad_ops.push_back(w_grad);
-            grad_params.push_back(rec.params - rec.cOut);
-            grad_labels.push_back(rec.label + "/kernel");
+            param_grads.push_back(
+                {w_grad, rec.params - rec.cOut, &rec.label, "/kernel"});
 
             if (produced(rec.in0)) {
                 grad = _graph.add(
                     OpType::Conv2DBackpropInput,
-                    rec.label + "/Conv2DBackpropInput",
+                    opLabel(rec.label, "/Conv2DBackpropInput"),
                     conv2dBackpropInputCost(rec.inShape, rec.kH,
                                             rec.cOut, rec.sH),
                     fixedParallelism(OpType::Conv2DBackpropInput,
@@ -817,38 +784,36 @@ Builder::trainingStep(TensorRef logits, Optimizer optimizer,
           case TapeKind::Dense: {
             if (rec.relu) {
                 grad = _graph.add(
-                    OpType::ReluGrad, rec.label + "/ReluGrad",
+                    OpType::ReluGrad, opLabel(rec.label, "/ReluGrad"),
                     activationCost(OpType::ReluGrad, rec.outShape),
                     fixedParallelism(OpType::ReluGrad, 1, 0.0),
                     {grad, rec.actOp});
             }
             OpId bias_grad = _graph.add(
-                OpType::BiasAddGrad, rec.label + "/BiasAddGrad",
+                OpType::BiasAddGrad, opLabel(rec.label, "/BiasAddGrad"),
                 biasAddGradCost(rec.outShape, rec.cOut),
                 fixedParallelism(OpType::BiasAddGrad, 8,
                                  double(rec.cOut)),
                 {grad});
-            grad_ops.push_back(bias_grad);
-            grad_params.push_back(rec.cOut);
-            grad_labels.push_back(rec.label + "/bias");
+            param_grads.push_back({bias_grad, rec.cOut, &rec.label, "/bias"});
 
             std::int64_t in_dim = rec.inShape.dim(1);
             std::int64_t b = rec.inShape.dim(0);
             OpId w_grad = _graph.add(
-                OpType::MatMulGradWeights, rec.label + "/MatMul_grad_w",
+                OpType::MatMulGradWeights,
+                opLabel(rec.label, "/MatMul_grad_w"),
                 matmulCost(in_dim, b, rec.cOut),
                 fixedParallelism(OpType::MatMulGradWeights,
                                  std::min<std::int64_t>(b, 64),
                                  double(in_dim * rec.cOut)),
                 {grad, rec.fwdOp});
-            grad_ops.push_back(w_grad);
-            grad_params.push_back(in_dim * rec.cOut);
-            grad_labels.push_back(rec.label + "/kernel");
+            param_grads.push_back(
+                {w_grad, in_dim * rec.cOut, &rec.label, "/kernel"});
 
             if (produced(rec.in0)) {
                 grad = _graph.add(
                     OpType::MatMulGradInputs,
-                    rec.label + "/MatMul_grad_x",
+                    opLabel(rec.label, "/MatMul_grad_x"),
                     matmulCost(b, rec.cOut, in_dim),
                     fixedParallelism(OpType::MatMulGradInputs,
                                      std::min<std::int64_t>(rec.cOut, 64),
@@ -865,36 +830,30 @@ Builder::trainingStep(TensorRef logits, Optimizer optimizer,
             std::int64_t kk = rec.inShape.dim(1);
             std::int64_t n = rec.outShape.dim(1);
             if (produced(rec.in0)) {
-                std::vector<OpId> deps{grad};
-                if (_tensors[rec.in1].op != invalidOp)
-                    deps.push_back(_tensors[rec.in1].op);
                 OpId da = _graph.add(
                     OpType::MatMulGradInputs,
-                    rec.label + "/MatMul_grad_a", matmulCost(m, n, kk),
+                    opLabel(rec.label, "/MatMul_grad_a"), matmulCost(m, n, kk),
                     fixedParallelism(OpType::MatMulGradInputs,
                                      std::min<std::int64_t>(n, 64),
                                      double(m * kk)),
-                    deps);
+                    withProducer(grad, rec.in1));
                 contribute(rec.in0, da);
             }
             if (produced(rec.in1)) {
-                std::vector<OpId> deps{grad};
-                if (_tensors[rec.in0].op != invalidOp)
-                    deps.push_back(_tensors[rec.in0].op);
                 OpId db = _graph.add(
                     OpType::MatMulGradWeights,
-                    rec.label + "/MatMul_grad_b", matmulCost(kk, m, n),
+                    opLabel(rec.label, "/MatMul_grad_b"), matmulCost(kk, m, n),
                     fixedParallelism(OpType::MatMulGradWeights,
                                      std::min<std::int64_t>(m, 64),
                                      double(kk * n)),
-                    deps);
+                    withProducer(grad, rec.in0));
                 contribute(rec.in1, db);
             }
             break;
           }
           case TapeKind::MaxPool:
             grad = _graph.add(
-                OpType::MaxPoolGrad, rec.label + "/MaxPoolGrad",
+                OpType::MaxPoolGrad, opLabel(rec.label, "/MaxPoolGrad"),
                 rec.kH == rec.kW && rec.sH == rec.sW
                     ? poolCost(OpType::MaxPoolGrad, rec.inShape, rec.kH,
                                rec.sH)
@@ -906,7 +865,7 @@ Builder::trainingStep(TensorRef logits, Optimizer optimizer,
             break;
           case TapeKind::AvgPool:
             grad = _graph.add(
-                OpType::AvgPoolGrad, rec.label + "/AvgPoolGrad",
+                OpType::AvgPoolGrad, opLabel(rec.label, "/AvgPoolGrad"),
                 rec.kH == rec.kW && rec.sH == rec.sW
                     ? poolCost(OpType::AvgPoolGrad, rec.inShape, rec.kH,
                                rec.sH)
@@ -918,31 +877,30 @@ Builder::trainingStep(TensorRef logits, Optimizer optimizer,
             break;
           case TapeKind::BatchNorm:
             grad = _graph.add(
-                OpType::BatchNormGrad, rec.label + "/FusedBatchNormGrad",
+                OpType::BatchNormGrad,
+                opLabel(rec.label, "/FusedBatchNormGrad"),
                 batchNormCost(OpType::BatchNormGrad, rec.inShape),
                 fixedParallelism(OpType::BatchNormGrad, 1,
                                  double(rec.inShape.elems())),
                 {grad, rec.fwdOp});
-            grad_ops.push_back(grad);
-            grad_params.push_back(rec.params);
-            grad_labels.push_back(rec.label + "/scale_offset");
+            param_grads.push_back(
+                {grad, rec.params, &rec.label, "/scale_offset"});
             contribute(rec.in0, grad);
             break;
           case TapeKind::LayerNorm:
             grad = _graph.add(
-                OpType::BatchNormGrad, rec.label + "/LayerNormGrad",
+                OpType::BatchNormGrad, opLabel(rec.label, "/LayerNormGrad"),
                 batchNormCost(OpType::BatchNormGrad, rec.inShape),
                 fixedParallelism(OpType::BatchNormGrad, 1,
                                  double(rec.inShape.elems())),
                 {grad, rec.fwdOp});
-            grad_ops.push_back(grad);
-            grad_params.push_back(rec.params);
-            grad_labels.push_back(rec.label + "/scale_offset");
+            param_grads.push_back(
+                {grad, rec.params, &rec.label, "/scale_offset"});
             contribute(rec.in0, grad);
             break;
           case TapeKind::Dropout:
             grad = _graph.add(
-                OpType::DropoutGrad, rec.label + "/DropoutGrad",
+                OpType::DropoutGrad, opLabel(rec.label, "/DropoutGrad"),
                 dropoutCost(OpType::DropoutGrad, rec.inShape),
                 fixedParallelism(OpType::DropoutGrad, 1, 0.0),
                 {grad, rec.fwdOp});
@@ -950,7 +908,7 @@ Builder::trainingStep(TensorRef logits, Optimizer optimizer,
             break;
           case TapeKind::MulChain:
             grad = _graph.add(
-                OpType::Mul, rec.label + "/MulGrad",
+                OpType::Mul, opLabel(rec.label, "/MulGrad"),
                 elementwiseCost(OpType::Mul, rec.inShape),
                 fixedParallelism(OpType::Mul, 1,
                                  double(rec.inShape.elems())),
@@ -959,27 +917,21 @@ Builder::trainingStep(TensorRef logits, Optimizer optimizer,
             break;
           case TapeKind::Mul2: {
             if (produced(rec.in0)) {
-                std::vector<OpId> deps{grad};
-                if (_tensors[rec.in1].op != invalidOp)
-                    deps.push_back(_tensors[rec.in1].op);
                 OpId da = _graph.add(
-                    OpType::Mul, rec.label + "/MulGrad_a",
+                    OpType::Mul, opLabel(rec.label, "/MulGrad_a"),
                     elementwiseCost(OpType::Mul, rec.inShape),
                     fixedParallelism(OpType::Mul, 1,
                                      double(rec.inShape.elems())),
-                    deps);
+                    withProducer(grad, rec.in1));
                 contribute(rec.in0, da);
             }
             if (produced(rec.in1)) {
-                std::vector<OpId> deps{grad};
-                if (_tensors[rec.in0].op != invalidOp)
-                    deps.push_back(_tensors[rec.in0].op);
                 OpId db = _graph.add(
-                    OpType::Mul, rec.label + "/MulGrad_b",
+                    OpType::Mul, opLabel(rec.label, "/MulGrad_b"),
                     elementwiseCost(OpType::Mul, rec.inShape),
                     fixedParallelism(OpType::Mul, 1,
                                      double(rec.inShape.elems())),
-                    deps);
+                    withProducer(grad, rec.in0));
                 contribute(rec.in1, db);
             }
             break;
@@ -993,7 +945,7 @@ Builder::trainingStep(TensorRef logits, Optimizer optimizer,
           case TapeKind::Slice:
           case TapeKind::Concat:
             grad = _graph.add(
-                OpType::Slice, rec.label + "/SliceGrad",
+                OpType::Slice, opLabel(rec.label, "/SliceGrad"),
                 dataMovementCost(double(rec.inShape.bytes())),
                 fixedParallelism(OpType::Slice, 1, 0.0), {grad});
             contribute(rec.in0, grad);
@@ -1004,14 +956,14 @@ Builder::trainingStep(TensorRef logits, Optimizer optimizer,
             break;
           case TapeKind::Transpose:
             grad = _graph.add(
-                OpType::Transpose, rec.label + "/TransposeGrad",
+                OpType::Transpose, opLabel(rec.label, "/TransposeGrad"),
                 dataMovementCost(double(rec.inShape.bytes())),
                 fixedParallelism(OpType::Transpose, 1, 0.0), {grad});
             contribute(rec.in0, grad);
             break;
           case TapeKind::Softmax:
             grad = _graph.add(
-                OpType::SoftmaxGrad, rec.label + "/SoftmaxGrad",
+                OpType::SoftmaxGrad, opLabel(rec.label, "/SoftmaxGrad"),
                 softmaxCost(OpType::SoftmaxGrad, rec.inShape.dim(0),
                             rec.inShape.dim(1)),
                 fixedParallelism(OpType::SoftmaxGrad, 1, 0.0),
@@ -1020,7 +972,7 @@ Builder::trainingStep(TensorRef logits, Optimizer optimizer,
             break;
           case TapeKind::Relu:
             grad = _graph.add(
-                OpType::ReluGrad, rec.label + "/ReluGrad",
+                OpType::ReluGrad, opLabel(rec.label, "/ReluGrad"),
                 activationCost(OpType::ReluGrad, rec.inShape),
                 fixedParallelism(OpType::ReluGrad, 1, 0.0),
                 {grad, rec.fwdOp});
@@ -1032,9 +984,9 @@ Builder::trainingStep(TensorRef logits, Optimizer optimizer,
             // of the forward output (1 - y^2, resp. y(1 - y)).
             grad = _graph.add(
                 OpType::Mul,
-                rec.label
-                    + (rec.kind == TapeKind::Tanh ? "/TanhGrad"
-                                                  : "/SigmoidGrad"),
+                opLabel(rec.label, rec.kind == TapeKind::Tanh
+                                       ? "/TanhGrad"
+                                       : "/SigmoidGrad"),
                 elementwiseCost(OpType::Mul, rec.inShape),
                 fixedParallelism(OpType::Mul, 1,
                                  double(rec.inShape.elems())),
@@ -1046,9 +998,15 @@ Builder::trainingStep(TensorRef logits, Optimizer optimizer,
 
     // ---- Optimizer: one update op per parameter tensor, in the
     // backward-walk discovery order (last layer's params first).
-    for (std::size_t i = 0; i < grad_ops.size(); ++i)
-        emitOptimizer(optimizer, grad_labels[i], grad_params[i],
-                      grad_ops[i]);
+    const bool adam = optimizer == Optimizer::Adam;
+    const OpType apply = adam ? OpType::ApplyAdam : OpType::ApplySgd;
+    for (const ParamGrad &p : param_grads) {
+        _graph.add(apply,
+                   opLabel(*p.label, p.suffix,
+                           adam ? "/ApplyAdam" : "/ApplySgd"),
+                   adam ? applyAdamCost(p.params) : applySgdCost(p.params),
+                   fixedParallelism(apply, 1, 0.0), {p.op});
+    }
 
     _finished = true;
     return std::move(_graph);

@@ -29,7 +29,10 @@
 #define HPIM_NN_GRAPH_BUILDER_HH
 
 #include <cstdint>
+#include <initializer_list>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "nn/graph.hh"
@@ -159,9 +162,9 @@ class Builder
      * backward structure through the Builder while keeping their
      * exact historical op sequence.
      */
-    OpId rawOp(OpType type, std::string label, CostStructure cost,
+    OpId rawOp(OpType type, std::string_view label, CostStructure cost,
                FixedParallelism parallelism,
-               std::vector<OpId> inputs = {});
+               std::initializer_list<OpId> inputs = {});
 
     // ------------------------------------------------------ queries
 
@@ -227,20 +230,29 @@ class Builder
     const TensorEntry &entry(TensorRef ref) const;
     TensorRef newTensor(OpId op, TensorShape shape,
                         std::int32_t record);
-    std::vector<OpId> depsOf(TensorRef ref) const;
+    /** Append @p rec to the tape; its output @p out comes from @p op. */
+    TensorRef record(TapeRecord &rec, OpId op, const TensorShape &out);
+    /** @return the producer of @p ref, or nothing for an input. */
+    std::span<const OpId> depsOf(TensorRef ref) const;
+    /** @return the producers of @p a then @p b, stored in @p buf. */
+    std::span<const OpId> depsOf(TensorRef a, TensorRef b,
+                                 OpId (&buf)[2]) const;
+    /** @return @p parts concatenated in the reused label buffer
+     *  (valid until the next call). */
+    template <typename... Parts>
+    std::string_view opLabel(const Parts &...parts);
     TensorRef pool(TensorRef x, TapeKind kind, std::int64_t kh,
                    std::int64_t kw, std::int64_t sh, std::int64_t sw);
     TensorRef activation(TensorRef x, TapeKind kind, OpType type,
                          const char *base);
     TensorRef norm(TensorRef x, TapeKind kind, const char *base,
                    const char *op_suffix);
-    void emitOptimizer(Optimizer optimizer, const std::string &label,
-                       std::int64_t params, OpId grad_op);
 
     Graph _graph;
     std::uint64_t _id; ///< distinguishes refs across Builder instances
     std::vector<TensorEntry> _tensors;
     std::vector<TapeRecord> _tape;
+    std::string _label; ///< op labels are composed here, not in temporaries
     std::size_t _conv_index = 0;
     std::size_t _fc_index = 0;
     std::size_t _misc_index = 0;

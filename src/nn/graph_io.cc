@@ -87,15 +87,16 @@ parseCost(const Value &object, std::size_t index, const char *name)
     return value;
 }
 
-Operation
-parseOp(const Value &node, std::size_t index)
+/** Parse ops[@p index] and append it to @p graph; @p inputs is
+ *  scratch reused across ops, so a parsed op allocates nothing. */
+void
+parseOp(const Value &node, std::size_t index, Graph &graph,
+        std::vector<OpId> &inputs)
 {
     if (!node.isObject())
         throw GraphParseError("expected an object", node.line,
                               "ops[" + std::to_string(index) + "]");
     checkObjectKeys(node, index, /*is_op=*/true);
-
-    Operation op;
 
     std::string type_path = opField(index, "type");
     const Value &type = requireField(node, "type", type_path);
@@ -107,7 +108,7 @@ parseOp(const Value &node, std::size_t index)
         throw GraphParseError("unknown op type '" + type.asString()
                                   + "'",
                               type.line, type_path);
-    op.type = *resolved;
+    OpType op_type = *resolved;
 
     std::string label_path = opField(index, "label");
     const Value &label = requireField(node, "label", label_path);
@@ -117,13 +118,13 @@ parseOp(const Value &node, std::size_t index)
     if (label.asString().empty())
         throw GraphParseError("expected a non-empty label", label.line,
                               label_path);
-    op.label = label.asString();
 
-    op.cost.muls = parseCost(node, index, "muls");
-    op.cost.adds = parseCost(node, index, "adds");
-    op.cost.specials = parseCost(node, index, "specials");
-    op.cost.bytesRead = parseCost(node, index, "bytes_read");
-    op.cost.bytesWritten = parseCost(node, index, "bytes_written");
+    CostStructure cost;
+    cost.muls = parseCost(node, index, "muls");
+    cost.adds = parseCost(node, index, "adds");
+    cost.specials = parseCost(node, index, "specials");
+    cost.bytesRead = parseCost(node, index, "bytes_read");
+    cost.bytesWritten = parseCost(node, index, "bytes_written");
 
     std::string units_path = opField(index, "units_per_lane");
     const Value &units = requireField(node, "units_per_lane",
@@ -141,17 +142,18 @@ parseOp(const Value &node, std::size_t index)
     if (units_value > std::numeric_limits<std::uint32_t>::max())
         throw GraphParseError("value out of 32-bit range", units.line,
                               units_path);
-    op.parallelism.unitsPerLane =
-        static_cast<std::uint32_t>(units_value);
+    FixedParallelism parallelism;
+    parallelism.unitsPerLane = static_cast<std::uint32_t>(units_value);
 
-    op.parallelism.lanes = parseCost(node, index, "lanes");
+    parallelism.lanes = parseCost(node, index, "lanes");
 
     std::string inputs_path = opField(index, "inputs");
-    const Value &inputs = requireField(node, "inputs", inputs_path);
-    if (!inputs.isArray())
-        throw GraphParseError("expected an array", inputs.line,
+    const Value &deps = requireField(node, "inputs", inputs_path);
+    if (!deps.isArray())
+        throw GraphParseError("expected an array", deps.line,
                               inputs_path);
-    for (const Value &dep : inputs.array) {
+    inputs.clear();
+    for (const Value &dep : deps.array) {
         if (!dep.isNumber())
             throw GraphParseError("expected an op index", dep.line,
                                   inputs_path);
@@ -169,9 +171,9 @@ parseOp(const Value &node, std::size_t index)
                     + std::to_string(index)
                     + " (ops must be topologically ordered)",
                 dep.line, inputs_path);
-        op.inputs.push_back(static_cast<OpId>(dep_value));
+        inputs.push_back(static_cast<OpId>(dep_value));
     }
-    return op;
+    graph.add(op_type, label.asString(), cost, parallelism, inputs);
 }
 
 } // namespace
@@ -188,7 +190,7 @@ saveGraph(std::ostream &os, const Graph &graph)
     for (const Operation &op : graph.ops()) {
         w.beginObject();
         w.field("type", opName(op.type));
-        w.field("label", op.label);
+        w.field("label", graph.label(op.id));
         w.field("muls", op.cost.muls);
         w.field("adds", op.cost.adds);
         w.field("specials", op.cost.specials);
@@ -197,7 +199,7 @@ saveGraph(std::ostream &os, const Graph &graph)
         w.field("units_per_lane", op.parallelism.unitsPerLane);
         w.field("lanes", op.parallelism.lanes);
         w.key("inputs").beginArray();
-        for (OpId dep : op.inputs)
+        for (OpId dep : graph.inputs(op.id))
             w.value(dep);
         w.endArray();
         w.endObject();
@@ -261,11 +263,9 @@ loadGraph(const std::string &text)
         throw GraphParseError("too many ops", ops.line, "ops");
 
     Graph graph(name.asString());
-    for (std::size_t i = 0; i < ops.array.size(); ++i) {
-        Operation op = parseOp(ops.array[i], i);
-        graph.add(op.type, std::move(op.label), op.cost,
-                  op.parallelism, std::move(op.inputs));
-    }
+    std::vector<OpId> inputs;
+    for (std::size_t i = 0; i < ops.array.size(); ++i)
+        parseOp(ops.array[i], i, graph, inputs);
     return graph;
 }
 

@@ -217,12 +217,14 @@ buildLstm(int batch)
                       fixedParallelism(OpType::EmbeddingLookup, 1, 0.0));
 
     std::vector<OpId> cell_fwd;
+    cell_fwd.reserve(2 * seq);
+    std::string label; // every per-layer label is formatted in here
     for (int layer = 0; layer < 2; ++layer) {
         std::int64_t in_dim = hidden;
         for (int t = 0; t < seq; ++t) {
-            std::string label = "lstm" + std::to_string(layer) + "/t"
-                                + std::to_string(t);
-            prev = b.rawOp(OpType::LstmCell, label + "/LSTMCell",
+            label.assign("lstm").append(std::to_string(layer));
+            label.append("/t").append(std::to_string(t));
+            prev = b.rawOp(OpType::LstmCell, label.append("/LSTMCell"),
                          lstmCellCost(OpType::LstmCell, batch, in_dim,
                                       hidden),
                          fixedParallelism(OpType::LstmCell, 64,
@@ -230,8 +232,8 @@ buildLstm(int batch)
                          {prev});
             cell_fwd.push_back(prev);
         }
-        prev = b.rawOp(OpType::Dropout,
-                     "lstm" + std::to_string(layer) + "/Dropout",
+        label.assign("lstm").append(std::to_string(layer));
+        prev = b.rawOp(OpType::Dropout, label.append("/Dropout"),
                      dropoutCost(OpType::Dropout,
                                  TensorShape{batch * seq, hidden}),
                      fixedParallelism(OpType::Dropout, 1, 0.0), {prev});

@@ -73,7 +73,7 @@ classColor(OffloadClass cls)
 }
 
 std::string
-escapeLabel(const std::string &label)
+escapeLabel(std::string_view label)
 {
     std::string out;
     for (char c : label) {
@@ -93,12 +93,12 @@ exportDot(const Graph &graph, std::ostream &os)
        << "  rankdir=TB;\n"
        << "  node [shape=box, style=filled, fontsize=10];\n";
     for (const Operation &op : graph.ops()) {
-        os << "  n" << op.id << " [label=\"" << escapeLabel(op.label)
-           << "\", fillcolor=\""
+        os << "  n" << op.id << " [label=\""
+           << escapeLabel(graph.label(op.id)) << "\", fillcolor=\""
            << classColor(opTraits(op.type).offloadClass) << "\"];\n";
     }
     for (const Operation &op : graph.ops()) {
-        for (OpId in : op.inputs)
+        for (OpId in : graph.inputs(op.id))
             os << "  n" << in << " -> n" << op.id << ";\n";
     }
     os << "}\n";

@@ -9,7 +9,7 @@ TensorShape::str() const
 {
     std::ostringstream os;
     os << '[';
-    for (std::size_t i = 0; i < _dims.size(); ++i) {
+    for (std::size_t i = 0; i < rank(); ++i) {
         if (i)
             os << ", ";
         os << _dims[i];

@@ -134,6 +134,12 @@ Executor::op(const OpKey &key) const
     return _workloads[key.workload].spec.graph->op(key.op);
 }
 
+std::string
+Executor::label(const OpKey &key) const
+{
+    return std::string(_workloads[key.workload].spec.graph->label(key.op));
+}
+
 void
 Executor::obsSpan(const char *track_name, const OpKey &key,
                   double start_sec, double energy_j,
@@ -152,7 +158,7 @@ Executor::obsSpan(const char *track_name, const OpKey &key,
     args.push_back({"energy_j", energy_j});
     for (auto &arg : extra)
         args.push_back(std::move(arg));
-    session->span(session->track(track_name), op(key).label, start_sec,
+    session->span(session->track(track_name), label(key), start_sec,
                   nowSec() - start_sec, std::move(args));
 }
 
@@ -234,8 +240,7 @@ Executor::seedStep(std::uint32_t w, std::uint32_t step)
     states.assign(graph.size(), OpState{});
     wl.remainingOps[step] = static_cast<std::uint32_t>(graph.size());
     for (const Operation &o : graph.ops()) {
-        states[o.id].remainingDeps =
-            static_cast<std::uint32_t>(o.inputs.size());
+        states[o.id].remainingDeps = o.inputCount;
         if (states[o.id].remainingDeps == 0) {
             states[o.id].ready = true;
             pushReady(OpKey{w, step, o.id});
@@ -499,7 +504,7 @@ Executor::dispatch(const OpKey &key)
             st.traceLive.assign(st.ops.size(), 0);
         }
         st.traceToken[key.op] =
-            _trace->begin(op(key).label, key.op, *placement,
+            _trace->begin(label(key), key.op, *placement,
                           key.workload, key.step, nowSec());
         st.traceLive[key.op] = 1;
     }
@@ -1293,7 +1298,7 @@ Executor::onOpComplete(const OpKey &key)
     obsCount("rt.ops_completed");
 
     const Graph &graph = *wl.spec.graph;
-    for (OpId consumer : graph.consumers()[key.op]) {
+    for (OpId consumer : graph.consumers(key.op)) {
         OpState &cs = wl.steps[key.step].ops[consumer];
         panic_if(cs.remainingDeps == 0, "dependence underflow");
         if (--cs.remainingDeps == 0) {
@@ -1378,7 +1383,8 @@ Executor::run(const std::vector<WorkloadSpec> &workloads)
             if (tables[facts] < 0) {
                 tables[facts] = placementTable(OpKey{w, 0, id}, 0);
                 fatal_if((tables[facts] & reachable) == 0, "op '",
-                         o.label, "' of '", graph.name(), "' (class ",
+                         graph.label(id), "' of '", graph.name(),
+                         "' (class ",
                          offloadClassNames[std::size_t(meta.cls)],
                          ") has no placement on config '", _config.name,
                          "'");

@@ -286,6 +286,7 @@ class Executor
 
     // ---- Helpers.
     const hpim::nn::Operation &op(const OpKey &key) const;
+    std::string label(const OpKey &key) const;
     OpState &state(const OpKey &key);
     StepState &stepState(const OpKey &key);
     /** Fresh live join slot for @p key (sizes the arrays on demand). */

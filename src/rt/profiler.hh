@@ -21,7 +21,7 @@
 namespace hpim::rt {
 
 /** Profile of one operation instance: plain data, so copying a
- *  report allocates nothing per op (the label is graph.op(id).label). */
+ *  report allocates nothing per op (the label is graph.label(id)). */
 struct OpProfile
 {
     hpim::nn::OpId id = hpim::nn::invalidOp;

@@ -7,8 +7,10 @@
 #include <gtest/gtest.h>
 
 #include "nn/builder.hh"
+#include "ready_walk.hh"
 
 using namespace hpim::nn;
+using hpim::readywalk::readyOps;
 
 TEST(Builder, ConvUpdatesRunningShape)
 {
@@ -119,12 +121,12 @@ TEST(Builder, GraphIsAcyclicByConstruction)
     b.conv(3, 8, 1).maxPool(2, 2).conv(3, 16, 1).fc(10, false);
     Graph g = b.finish();
     // Every input id precedes its consumer (checked in add()), and
-    // readyOps() from nothing-done yields only true sources.
+    // the ready walk from nothing-done yields only true sources.
     std::vector<bool> done(g.size(), false);
-    auto ready = g.readyOps(done);
+    auto ready = readyOps(g, done);
     ASSERT_FALSE(ready.empty());
     for (OpId id : ready)
-        EXPECT_TRUE(g.op(id).inputs.empty());
+        EXPECT_TRUE(g.inputs(id).empty());
 }
 
 TEST(Builder, EveryOpReachableFromExecution)
@@ -137,7 +139,7 @@ TEST(Builder, EveryOpReachableFromExecution)
     std::vector<bool> done(g.size(), false);
     std::size_t completed = 0;
     while (completed < g.size()) {
-        auto ready = g.readyOps(done);
+        auto ready = readyOps(g, done);
         ASSERT_FALSE(ready.empty()) << "deadlocked graph";
         for (OpId id : ready) {
             done[id] = true;

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <string>
 #include <thread>
@@ -59,6 +60,24 @@ constexpr BuiltinDigest builtinDigests[] = {
     {ModelId::Word2vec, 0x25430cf8e18f6775ULL, 3, 0xb401646f122ecd88ULL},
 };
 
+/** @return the consumers of @p id, in chain order. */
+std::vector<OpId>
+consumersOf(const Graph &g, OpId id)
+{
+    std::vector<OpId> out;
+    for (OpId c : g.consumers(id))
+        out.push_back(c);
+    return out;
+}
+
+/** @return the inputs of @p id as a vector. */
+std::vector<OpId>
+inputsOf(const Graph &g, OpId id)
+{
+    auto in = g.inputs(id);
+    return {in.begin(), in.end()};
+}
+
 /** Path of a committed example graph, relative to this file. */
 std::string
 exampleGraph(const std::string &name)
@@ -78,7 +97,9 @@ TEST(Graph, AddAssignsDenseIds)
     EXPECT_EQ(a, 0u);
     EXPECT_EQ(b, 1u);
     EXPECT_EQ(g.size(), 2u);
-    EXPECT_EQ(g.op(b).inputs, std::vector<OpId>{a});
+    EXPECT_EQ(inputsOf(g, b), std::vector<OpId>{a});
+    EXPECT_EQ(g.label(a), "a");
+    EXPECT_EQ(g.label(b), "b");
 }
 
 TEST(Graph, ConsumersAreReverseEdges)
@@ -87,9 +108,70 @@ TEST(Graph, ConsumersAreReverseEdges)
     OpId a = g.add(OpType::MatMul, "a", unitCost(), unitPar());
     OpId b = g.add(OpType::Relu, "b", unitCost(), unitPar(), {a});
     OpId c = g.add(OpType::Softmax, "c", unitCost(), unitPar(), {a, b});
-    EXPECT_EQ(g.consumers()[a], (std::vector<OpId>{b, c}));
-    EXPECT_EQ(g.consumers()[b], std::vector<OpId>{c});
-    EXPECT_TRUE(g.consumers()[c].empty());
+    EXPECT_EQ(consumersOf(g, a), (std::vector<OpId>{b, c}));
+    EXPECT_EQ(consumersOf(g, b), std::vector<OpId>{c});
+    EXPECT_TRUE(consumersOf(g, c).empty());
+}
+
+TEST(Graph, RepeatedInputIsConsumedTwice)
+{
+    // Builder::add(x, x) lists one producer twice; the executor counts
+    // both edges, so the chain must hold both.
+    Graph g("test");
+    OpId a = g.add(OpType::MatMul, "a", unitCost(), unitPar());
+    OpId b = g.add(OpType::Add, "b", unitCost(), unitPar(), {a, a});
+    EXPECT_EQ(inputsOf(g, b), (std::vector<OpId>{a, a}));
+    EXPECT_EQ(consumersOf(g, a), (std::vector<OpId>{b, b}));
+}
+
+TEST(Graph, ArenasReadBackAfterGrowth)
+{
+    Graph g("grow");
+    OpId a = g.add(OpType::MatMul, "first", unitCost(), unitPar());
+    OpId b = g.add(OpType::Relu, "second", unitCost(), unitPar(), {a});
+    OpId c = g.add(OpType::Add, "third", unitCost(), unitPar(), {a, b});
+    // 10,000 more ops regrow the op, label, input and edge arenas
+    // many times over; every op hangs off a or b, and off c.
+    for (int i = 0; i < 10000; ++i) {
+        std::string label = "op_" + std::to_string(i);
+        OpId id = g.add(OpType::Mul, label, unitCost(), unitPar(),
+                        {OpId(i % 2), c});
+        ASSERT_EQ(g.label(id), label);
+    }
+    EXPECT_EQ(g.size(), 10003u);
+    EXPECT_EQ(g.label(a), "first");
+    EXPECT_EQ(g.label(b), "second");
+    EXPECT_EQ(g.label(c), "third");
+    EXPECT_EQ(g.label(10002), "op_9999");
+    EXPECT_EQ(inputsOf(g, c), (std::vector<OpId>{a, b}));
+    EXPECT_EQ(inputsOf(g, 10002), (std::vector<OpId>{b, c}));
+
+    std::vector<OpId> expect_a{b, c}, expect_b{c};
+    for (OpId id = 3; id < g.size(); ++id)
+        ((id - 3) % 2 == 0 ? expect_a : expect_b).push_back(id);
+    EXPECT_EQ(consumersOf(g, a), expect_a);
+    EXPECT_EQ(consumersOf(g, b), expect_b);
+    std::vector<OpId> consumers_c = consumersOf(g, c);
+    ASSERT_EQ(consumers_c.size(), 10000u);
+    EXPECT_TRUE(std::is_sorted(consumers_c.begin(), consumers_c.end()));
+    EXPECT_TRUE(consumersOf(g, 10002).empty());
+}
+
+TEST(Graph, CopiesAndMovesKeepArenas)
+{
+    const Graph g = buildModel(ModelId::InceptionV3);
+    Graph copied = g;
+    Graph source = g;
+    Graph moved = std::move(source);
+    for (const Graph *other : {&copied, &moved}) {
+        ASSERT_EQ(other->size(), g.size());
+        EXPECT_EQ(other->signature(), g.signature());
+        for (OpId id = 0; id < g.size(); ++id) {
+            ASSERT_EQ(other->label(id), g.label(id));
+            ASSERT_EQ(inputsOf(*other, id), inputsOf(g, id));
+            ASSERT_EQ(consumersOf(*other, id), consumersOf(g, id));
+        }
+    }
 }
 
 TEST(GraphDeath, ForwardReferenceIsFatal)
@@ -98,35 +180,6 @@ TEST(GraphDeath, ForwardReferenceIsFatal)
     EXPECT_EXIT(
         g.add(OpType::MatMul, "bad", unitCost(), unitPar(), {5}),
         testing::ExitedWithCode(1), "does not precede");
-}
-
-TEST(Graph, TopoOrderIsInsertionOrder)
-{
-    Graph g("test");
-    g.add(OpType::MatMul, "a", unitCost(), unitPar());
-    g.add(OpType::Relu, "b", unitCost(), unitPar(), {0});
-    auto order = g.topoOrder();
-    EXPECT_EQ(order, (std::vector<OpId>{0, 1}));
-}
-
-TEST(Graph, ReadyOpsRespectsDependences)
-{
-    Graph g("test");
-    OpId a = g.add(OpType::MatMul, "a", unitCost(), unitPar());
-    OpId b = g.add(OpType::MatMul, "b", unitCost(), unitPar());
-    OpId c = g.add(OpType::Add, "c", unitCost(), unitPar(), {a, b});
-
-    std::vector<bool> done(3, false);
-    auto ready = g.readyOps(done);
-    EXPECT_EQ(ready, (std::vector<OpId>{a, b}));
-
-    done[a] = true;
-    ready = g.readyOps(done);
-    EXPECT_EQ(ready, std::vector<OpId>{b});
-
-    done[b] = true;
-    ready = g.readyOps(done);
-    EXPECT_EQ(ready, std::vector<OpId>{c});
 }
 
 TEST(Graph, TotalCostSums)

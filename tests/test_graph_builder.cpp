@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "nn/builder.hh"
 #include "nn/graph_builder.hh"
@@ -18,13 +19,28 @@ using namespace hpim::nn;
 
 namespace {
 
+/** @return the first op labelled @p label, or invalidOp. */
+OpId
+findLabel(const Graph &g, const std::string &label)
+{
+    for (const Operation &op : g.ops())
+        if (g.label(op.id) == label)
+            return op.id;
+    return invalidOp;
+}
+
 bool
 hasLabel(const Graph &g, const std::string &label)
 {
-    for (const Operation &op : g.ops())
-        if (op.label == label)
-            return true;
-    return false;
+    return findLabel(g, label) != invalidOp;
+}
+
+/** @return the inputs of @p id as a vector. */
+std::vector<OpId>
+inputsOf(const Graph &g, OpId id)
+{
+    auto in = g.inputs(id);
+    return {in.begin(), in.end()};
 }
 
 } // namespace
@@ -145,6 +161,64 @@ TEST(GraphBuilder, ResidualFanOutAccumulatesGradients)
     EXPECT_TRUE(hasLabel(g, "fc1/AddGrad_0"));
     // Both matmul operand gradients exist for the interior layers.
     EXPECT_GE(g.countType(OpType::MatMulGradInputs), 2u);
+}
+
+TEST(GraphBuilder, FanOutAccumulatesInPushOrder)
+{
+    Builder b("t");
+    auto h = b.dense(b.input(TensorShape{4, 32}), 32, false); // fc1
+    auto m = b.dense(h, 32, false);                            // fc2
+    auto s = b.add(m, h);                                      // add_1
+    auto t = b.tanh(h);                                        // tanh_2
+    auto r = b.add(s, t);                                      // add_3
+    auto w = b.input(TensorShape{32, 32});
+    auto p = b.matmul(r, w);                                   // matmul_4
+    Graph g = b.trainingStep(b.dense(p, 10, false), Optimizer::Sgd);
+
+    // h's three contributions, in the order the backward walk pushed
+    // them (tanh_2, add_1, fc2), fold into two accumulation ops.
+    OpId acc0 = findLabel(g, "fc1/AddGrad_0");
+    OpId acc1 = findLabel(g, "fc1/AddGrad_1");
+    ASSERT_NE(acc0, invalidOp);
+    ASSERT_NE(acc1, invalidOp);
+    EXPECT_FALSE(hasLabel(g, "fc1/AddGrad_2"));
+    EXPECT_EQ(inputsOf(g, acc0),
+              (std::vector<OpId>{findLabel(g, "tanh_2/TanhGrad"),
+                                 findLabel(g, "matmul_4/MatMul_grad_a")}));
+    EXPECT_EQ(inputsOf(g, acc1),
+              (std::vector<OpId>{acc0,
+                                 findLabel(g, "fc2/MatMul_grad_x")}));
+    // A matmul against a graph input: dA waits on the gradient only.
+    EXPECT_EQ(inputsOf(g, findLabel(g, "matmul_4/MatMul_grad_a")),
+              std::vector<OpId>{findLabel(g, "fc3/MatMul_grad_x")});
+    EXPECT_FALSE(hasLabel(g, "matmul_4/MatMul_grad_b"));
+    // Optimizer labels compose (record label, suffix, apply op).
+    EXPECT_TRUE(hasLabel(g, "fc1/kernel/ApplySgd"));
+    EXPECT_TRUE(hasLabel(g, "fc3/bias/ApplySgd"));
+}
+
+TEST(GraphBuilder, MidBuildGraphReadsBackAfterGrowth)
+{
+    Builder b("t");
+    auto x = b.conv2d(b.input(TensorShape{2, 8, 8, 3}), 3, 4, 1);
+    const Graph &g = b.graph();
+    ASSERT_EQ(g.size(), 3u);
+    EXPECT_EQ(g.label(0), "conv1/Conv2D");
+    EXPECT_EQ(g.label(2), "conv1/Relu");
+    // 10,000 raw ops regrow every arena of the graph being built.
+    OpId prev = b.producer(x);
+    for (int i = 0; i < 10000; ++i)
+        prev = b.rawOp(OpType::Relu, "chain/Relu", {}, {}, {prev});
+    EXPECT_EQ(g.size(), 10003u);
+    EXPECT_EQ(g.label(1), "conv1/BiasAdd");
+    EXPECT_EQ(inputsOf(g, 1), std::vector<OpId>{0});
+    EXPECT_EQ(*g.consumers(2).begin(), 3u);
+    Graph done = b.finishForward();
+    EXPECT_EQ(done.label(2), "conv1/Relu");
+    EXPECT_EQ(done.label(10002), "chain/Relu");
+    EXPECT_EQ(inputsOf(done, 10002), std::vector<OpId>{10001});
+    auto last = done.consumers(10002);
+    EXPECT_TRUE(last.begin() == last.end());
 }
 
 TEST(GraphBuilder, MatmulBackpropsBothOperands)

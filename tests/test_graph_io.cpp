@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -87,8 +88,8 @@ TEST(GraphIo, RoundTripPreservesStructureAndSignature)
     EXPECT_EQ(r.signature(), g.signature());
     for (OpId id = 0; id < g.size(); ++id) {
         EXPECT_EQ(r.op(id).type, g.op(id).type);
-        EXPECT_EQ(r.op(id).label, g.op(id).label);
-        EXPECT_EQ(r.op(id).inputs, g.op(id).inputs);
+        EXPECT_EQ(r.label(id), g.label(id));
+        EXPECT_TRUE(std::ranges::equal(r.inputs(id), g.inputs(id)));
         EXPECT_EQ(r.op(id).cost.muls, g.op(id).cost.muls);
         EXPECT_EQ(r.op(id).cost.bytesRead, g.op(id).cost.bytesRead);
         EXPECT_EQ(r.op(id).parallelism.unitsPerLane,

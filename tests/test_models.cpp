@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "nn/models.hh"
+#include "ready_walk.hh"
 
 using namespace hpim::nn;
 
@@ -128,7 +129,7 @@ TEST_P(ModelGraphSweep, GraphDrainsCompletely)
     std::vector<bool> done(g.size(), false);
     std::size_t completed = 0;
     while (completed < g.size()) {
-        auto ready = g.readyOps(done);
+        auto ready = hpim::readywalk::readyOps(g, done);
         ASSERT_FALSE(ready.empty())
             << modelName(GetParam()) << " deadlocked at "
             << completed << "/" << g.size();

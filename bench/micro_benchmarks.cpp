@@ -1,9 +1,9 @@
 /**
  * @file
  * google-benchmark micro-benchmarks of the simulator substrates:
- * event-queue throughput, HMC stack request service, placement
- * and thermal solving, graph construction, a full scheduled training
- * step, and the thread pool / sweep runner.
+ * event-queue throughput, placement and thermal solving, graph
+ * construction, a full scheduled training step, and the thread pool /
+ * sweep runner.
  */
 
 #include <benchmark/benchmark.h>
@@ -14,13 +14,11 @@
 #include "baseline/presets.hh"
 #include "harness/sweep.hh"
 #include "harness/thread_pool.hh"
-#include "mem/hmc_stack.hh"
 #include "model/thermal.hh"
 #include "nn/models.hh"
 #include "pim/placement.hh"
 #include "rt/hetero_runtime.hh"
 #include "sim/event_queue.hh"
-#include "sim/rng.hh"
 
 namespace {
 
@@ -39,27 +37,6 @@ BM_EventQueue(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * 1000);
 }
 BENCHMARK(BM_EventQueue);
-
-void
-BM_HmcStackDrain(benchmark::State &state)
-{
-    hpim::sim::Rng rng(7);
-    for (auto _ : state) {
-        hpim::mem::HmcStack stack{hpim::mem::HmcConfig{}};
-        for (int i = 0; i < 2048; ++i) {
-            hpim::mem::MemoryRequest req;
-            req.id = static_cast<std::uint64_t>(i);
-            req.addr = rng.next() % stack.capacity();
-            req.type = (i & 3) ? hpim::mem::AccessType::Read
-                               : hpim::mem::AccessType::Write;
-            stack.enqueue(req);
-        }
-        auto done = stack.drainAll();
-        benchmark::DoNotOptimize(done.size());
-    }
-    state.SetItemsProcessed(state.iterations() * 2048);
-}
-BENCHMARK(BM_HmcStackDrain);
 
 void
 BM_Placement(benchmark::State &state)

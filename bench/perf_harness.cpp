@@ -12,7 +12,6 @@
  *    fault rates) -- exercises the retry/degrade machinery;
  *  - event_queue_micro: schedule/reschedule/deschedule/callback storm
  *    on sim::EventQueue;
- *  - vault_micro: enqueue/drain storm on mem::VaultController;
  *  - graph_neighbors: the committed transformer_train.json user graph
  *    re-parsed and re-prepared per point across neighboring system
  *    configs -- the delta-evaluation (sub-graph signature) hot path;
@@ -29,8 +28,9 @@
  * --out as BENCH_sim_core.json, the repo's recorded perf trajectory.
  * With --baseline FILE the harness compares against a previous file
  * and exits non-zero when any workload regressed more than
- * --max-regress percent, printing the per-workload regression deltas
- * (CI perf-smoke).
+ * --max-regress percent, or when a baseline workload has no result
+ * here (a dropped workload must be dropped from the baseline too),
+ * printing the per-workload regression deltas (CI perf-smoke).
  *
  * usage: perf_harness [--out FILE] [--repeat N] [--baseline FILE]
  *                     [--max-regress PCT] [--graphs DIR]
@@ -49,8 +49,6 @@
 #include "harness/json.hh"
 #include "harness/json_writer.hh"
 #include "harness/table_printer.hh"
-#include "mem/dram_timing.hh"
-#include "mem/vault_controller.hh"
 #include "nn/graph_builder.hh"
 #include "nn/graph_io.hh"
 #include "nn/models.hh"
@@ -158,33 +156,6 @@ runEventQueueMicro()
     while (queue.runOne()) {
     }
     g_sink = static_cast<double>(fired + queue.processedCount());
-}
-
-void
-runVaultMicro()
-{
-    mem::VaultController vault(mem::hmc2Timing(), 8);
-    constexpr std::uint64_t kRounds = 200;
-    constexpr std::uint32_t kRequests = 512;
-    double sum = 0.0;
-    for (std::uint64_t round = 0; round < kRounds; ++round) {
-        for (std::uint32_t i = 0; i < kRequests; ++i) {
-            mem::MemoryRequest req;
-            req.id = i;
-            req.type = (i % 3 == 0) ? mem::AccessType::Write
-                                    : mem::AccessType::Read;
-            req.bytes = 64;
-            req.arrival = i * 2;
-            mem::DramCoord coord{};
-            coord.bank = i % 8;
-            // Bursts of row locality with periodic conflicts.
-            coord.row = (i / 16) % 32 + (i % 7 == 0 ? 1000 : 0);
-            vault.enqueue(req, coord);
-        }
-        auto done = vault.drain();
-        sum += static_cast<double>(done.back().completion);
-    }
-    g_sink = sum;
 }
 
 /** Document text of the transformer_train.json example (read once in
@@ -303,7 +274,6 @@ const Workload kWorkloads[] = {
     {"fig8_exec_time", runFig8Grid},
     {"fault_sweep", runFaultSweep},
     {"event_queue_micro", runEventQueueMicro},
-    {"vault_micro", runVaultMicro},
     {"graph_neighbors", runGraphNeighbors, true},
     {"builder_wide", runBuilderWide, true},
 };
@@ -475,6 +445,19 @@ main(int argc, char **argv)
         double deltaPct;
     };
     std::vector<Regression> regressions;
+    // A baseline workload this binary no longer runs would otherwise
+    // leave the gate without anyone noticing.
+    std::vector<std::string> unrun;
+    for (const auto &[name, entry] : base_workloads.object) {
+        bool ran = false;
+        for (const Result &result : results)
+            ran = ran || result.name == name;
+        if (!ran) {
+            std::cout << "[perf] " << name
+                      << ": in baseline but not run\n";
+            unrun.push_back(name);
+        }
+    }
     for (const Result &result : results) {
         const auto *entry = base_workloads.find(result.name);
         if (entry == nullptr) {
@@ -503,18 +486,23 @@ main(int argc, char **argv)
         }
         std::cout << "\n";
     }
-    if (regressions.empty())
+    if (regressions.empty() && unrun.empty())
         return 0;
     // The failure line CI quotes: every offender with its delta, not
     // just the first name.
     std::cout << "[perf] FAIL:";
-    for (std::size_t i = 0; i < regressions.size(); ++i) {
-        std::cout << (i == 0 ? " " : ", ") << regressions[i].name
-                  << " +"
-                  << hpim::harness::fmt(regressions[i].deltaPct, 1)
+    const char *sep = " ";
+    for (const Regression &regression : regressions) {
+        std::cout << sep << regression.name << " +"
+                  << hpim::harness::fmt(regression.deltaPct, 1)
                   << "% (limit "
                   << (max_regress_pct >= 0.0 ? "+" : "")
                   << hpim::harness::fmt(max_regress_pct, 0) << "%)";
+        sep = ", ";
+    }
+    for (const std::string &name : unrun) {
+        std::cout << sep << name << " (no result)";
+        sep = ", ";
     }
     std::cout << "\n";
     return 1;

@@ -74,6 +74,7 @@
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "serve/client.hh"
+#include "serve/protocol.hh"
 #include "serve/simulate.hh"
 #include "sim/config.hh"
 #include "sim/deadline.hh"
@@ -129,26 +130,23 @@ parseDouble(const std::string &flag, const std::string &text)
  * What a valid hpim_cli invocation looks like: every flag's type and
  * range. An out-of-range value or (via allowUnknown=false) any key a
  * typo smuggled into the store fails fast with the full list of
- * violations instead of silently simulating nonsense.
+ * violations instead of silently simulating nonsense. The simulation
+ * rows are serve::simSchema()'s, so the CLI and the wire share each
+ * range; batch has no flag here.
  */
 sim::ConfigSchema
 cliSchema()
 {
     using sim::ConfigType;
-    sim::ConfigSchema schema;
-    schema.keys = {
-        {"model", ConfigType::String, true, 0.0, 0.0},
-        {"graph", ConfigType::String, true, 0.0, 0.0},
+    sim::ConfigSchema schema = serve::simSchema();
+    std::erase_if(schema.keys, [](const sim::ConfigKeySpec &spec) {
+        return spec.key == "batch";
+    });
+    for (sim::ConfigKeySpec &spec : schema.keys)
+        spec.required = true;
+    schema.keys.insert(schema.keys.end(), {
         {"dump_graph", ConfigType::String, true, 0.0, 0.0},
         {"dry_run", ConfigType::Bool, true, 0.0, 0.0},
-        {"system", ConfigType::String, true, 0.0, 0.0},
-        {"steps", ConfigType::Int, true, 1.0, 1e6},
-        {"freq_scale", ConfigType::Double, true, 1.0 / 64, 128.0},
-        {"progr_pims", ConfigType::Int, true, 1.0, 256.0},
-        {"rc", ConfigType::Bool, true, 0.0, 0.0},
-        {"op", ConfigType::Bool, true, 0.0, 0.0},
-        {"fault_rate", ConfigType::Double, true, 0.0, 1.0},
-        {"kill_banks", ConfigType::Int, true, 0.0, 4096.0},
         {"timeout_ms", ConfigType::Double, true, 0.0, 1e9},
         {"connect", ConfigType::String, true, 0.0, 0.0},
         {"metrics", ConfigType::Bool, true, 0.0, 0.0},
@@ -158,7 +156,7 @@ cliSchema()
         {"dot", ConfigType::Bool, true, 0.0, 0.0},
         {"trace", ConfigType::String, true, 0.0, 0.0},
         {"failpoints", ConfigType::String, true, 0.0, 0.0},
-    };
+    });
     return schema;
 }
 

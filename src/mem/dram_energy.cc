@@ -8,11 +8,8 @@ DramEnergyParams::hmc()
     DramEnergyParams p{};
     // In-stack array access is ~3.7 pJ/bit class; the SerDes link
     // dominates external access cost (HMC literature).
-    p.actPrePj = 900.0;
     p.readPerBytePj = 4.0;
-    p.writePerBytePj = 4.4;
     p.linkPerBytePj = 30.0;
-    p.backgroundW = 1.2;
     return p;
 }
 
@@ -21,36 +18,9 @@ DramEnergyParams::ddr4()
 {
     DramEnergyParams p{};
     // DDR4 channel: array + I/O together land around 10-20 pJ/bit.
-    p.actPrePj = 1400.0;
     p.readPerBytePj = 6.0;
-    p.writePerBytePj = 6.6;
     p.linkPerBytePj = 56.0;
-    p.backgroundW = 1.0;
     return p;
-}
-
-void
-DramEnergyModel::addBankActivity(const BankCounters &counters,
-                                 std::uint32_t burst_bytes)
-{
-    _array_pj += static_cast<double>(counters.activates) * _params.actPrePj;
-    _array_pj += static_cast<double>(counters.reads)
-                 * static_cast<double>(burst_bytes) * _params.readPerBytePj;
-    _array_pj += static_cast<double>(counters.writes)
-                 * static_cast<double>(burst_bytes)
-                 * _params.writePerBytePj;
-}
-
-void
-DramEnergyModel::addLinkTraffic(std::uint64_t bytes)
-{
-    _link_pj += static_cast<double>(bytes) * _params.linkPerBytePj;
-}
-
-void
-DramEnergyModel::addBackgroundTime(double seconds)
-{
-    _background_j += seconds * _params.backgroundW;
 }
 
 } // namespace hpim::mem

@@ -1,72 +1,28 @@
 /**
  * @file
- * DRAM access energy model.
+ * DRAM access energy parameters.
  *
  * Distinguishes energy for accesses served *inside* the stack (PIM) from
  * accesses crossing the off-stack link (host), which is the root of the
- * PIM energy advantage the paper exploits. Per-command energies are in
- * picojoules; derived per-byte figures follow public HMC/DDR literature.
+ * PIM energy advantage the paper exploits. Per-byte figures are in
+ * picojoules and follow public HMC/DDR literature.
  */
 
 #ifndef HPIM_MEM_DRAM_ENERGY_HH
 #define HPIM_MEM_DRAM_ENERGY_HH
-
-#include <cstdint>
-
-#include "mem/bank.hh"
 
 namespace hpim::mem {
 
 /** Energy parameters for one memory technology instance. */
 struct DramEnergyParams
 {
-    double actPrePj;       ///< one ACT+PRE pair, pJ
     double readPerBytePj;  ///< array read, pJ/byte
-    double writePerBytePj; ///< array write, pJ/byte
     double linkPerBytePj;  ///< off-stack SerDes/IO, pJ/byte
-    double backgroundW;    ///< standby + refresh power, watts
 
     /** HMC-like stack: cheap internal access, expensive link. */
     static DramEnergyParams hmc();
     /** DDR4 DIMM: everything crosses the channel I/O. */
     static DramEnergyParams ddr4();
-};
-
-/** Accumulates DRAM energy from command counts. */
-class DramEnergyModel
-{
-  public:
-    explicit DramEnergyModel(const DramEnergyParams &params)
-        : _params(params)
-    {}
-
-    /** Account for the commands recorded in @p counters. */
-    void addBankActivity(const BankCounters &counters,
-                         std::uint32_t burst_bytes);
-
-    /** Account for bytes that crossed the off-stack link. */
-    void addLinkTraffic(std::uint64_t bytes);
-
-    /** Account for elapsed wall time (background power). */
-    void addBackgroundTime(double seconds);
-
-    /** @return accumulated dynamic array energy in joules. */
-    double arrayEnergyJ() const { return _array_pj * 1e-12; }
-    /** @return accumulated link energy in joules. */
-    double linkEnergyJ() const { return _link_pj * 1e-12; }
-    /** @return accumulated background energy in joules. */
-    double backgroundEnergyJ() const { return _background_j; }
-    /** @return total energy in joules. */
-    double totalEnergyJ() const
-    { return arrayEnergyJ() + linkEnergyJ() + backgroundEnergyJ(); }
-
-    const DramEnergyParams &params() const { return _params; }
-
-  private:
-    DramEnergyParams _params;
-    double _array_pj = 0.0;
-    double _link_pj = 0.0;
-    double _background_j = 0.0;
 };
 
 } // namespace hpim::mem

@@ -6,16 +6,16 @@
  *
  * A TraceSession records typed events -- spans (an interval of work
  * on one track), instants (a point occurrence: a fault, a retry, a
- * DRAM row activation) and counters (a sampled value over time, e.g.
+ * bank failure) and counters (a sampled value over time, e.g.
  * allocatable fixed-pool units) -- into per-thread buffers, so
  * recording never takes a lock on the hot path once a thread's
  * buffer exists.
  *
- * Instrumented components (rt::Executor, mem::VaultController,
- * harness::SweepRunner, ...) look up the process-global session via
- * TraceSession::current(); when none is attached the lookup is one
- * relaxed atomic load and the instrumentation does nothing, so runs
- * with tracing off are bit-identical to an uninstrumented build.
+ * Instrumented components (rt::Executor, harness::SweepRunner, ...)
+ * look up the process-global session via TraceSession::current();
+ * when none is attached the lookup is one relaxed atomic load and the
+ * instrumentation does nothing, so runs with tracing off are
+ * bit-identical to an uninstrumented build.
  *
  * Determinism contract: exported traces are byte-identical for a
  * fixed seed regardless of the sweep worker count. Two mechanisms

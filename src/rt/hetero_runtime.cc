@@ -40,6 +40,12 @@ cpuKey(const hpim::cpu::CpuParams &cpu)
     return h;
 }
 
+// A new CpuParams field must be folded into cpuKey() above, or the
+// memo tiers would serve profiles computed without it; add it to
+// SimCacheTest.CpuKeyCoversEveryCpuParamsField too.
+static_assert(sizeof(hpim::cpu::CpuParams) == 64,
+              "CpuParams changed: revisit cpuKey()");
+
 } // namespace
 
 /**

@@ -179,14 +179,6 @@ systemTokenList()
 
 // --------------------------------------------------------------- requests
 
-namespace {
-
-/**
- * The validity contract of a request's `sim` object: exactly the
- * hpim_cli flag schema (plus batch and fault_seed, which the CLI
- * parses outside its schema). Shared with the thin client so both
- * ends agree on what a well-formed request is.
- */
 sim::ConfigSchema
 simSchema()
 {
@@ -207,6 +199,8 @@ simSchema()
     };
     return schema;
 }
+
+namespace {
 
 /**
  * Lower a parsed JSON object into a typed sim::Config so the

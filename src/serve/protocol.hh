@@ -38,6 +38,7 @@
 #include "baseline/presets.hh"
 #include "nn/models.hh"
 #include "rt/execution_report.hh"
+#include "sim/config.hh"
 #include "sim/rng.hh"
 
 namespace hpim::serve {
@@ -144,6 +145,15 @@ struct SimulateSpec
     std::uint32_t killBanks = 0;
     std::uint64_t faultSeed = hpim::sim::defaultSeed;
 };
+
+/**
+ * The validity contract of a request's `sim` object, every key
+ * optional: one row per SimulateSpec field except fault_seed, which
+ * is a full-range uint64 parsed exactly outside the schema. hpim_cli
+ * builds its flag schema from this one, so the CLI and the wire share
+ * every range.
+ */
+sim::ConfigSchema simSchema();
 
 /** One decoded request frame. */
 struct Request

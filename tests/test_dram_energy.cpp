@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests for the DRAM energy model -- including the PIM-critical
+ * Unit tests for the DRAM energy parameters -- including the PIM-critical
  * property that in-stack accesses are cheaper than link crossings.
  */
 
@@ -8,8 +8,6 @@
 
 #include "mem/dram_energy.hh"
 
-using hpim::mem::BankCounters;
-using hpim::mem::DramEnergyModel;
 using hpim::mem::DramEnergyParams;
 
 TEST(DramEnergy, InternalAccessCheaperThanLink)
@@ -23,46 +21,6 @@ TEST(DramEnergy, Ddr4CostlierPerByteThanHmcArray)
 {
     EXPECT_GT(DramEnergyParams::ddr4().linkPerBytePj,
               DramEnergyParams::hmc().readPerBytePj);
-}
-
-TEST(DramEnergy, BankActivityAccumulates)
-{
-    DramEnergyModel model(DramEnergyParams::hmc());
-    BankCounters counters;
-    counters.activates = 10;
-    counters.reads = 100;
-    counters.writes = 50;
-    model.addBankActivity(counters, 32);
-    double expected_pj = 10 * 900.0 + 100 * 32 * 4.0 + 50 * 32 * 4.4;
-    EXPECT_NEAR(model.arrayEnergyJ(), expected_pj * 1e-12, 1e-18);
-}
-
-TEST(DramEnergy, LinkTrafficAccumulates)
-{
-    DramEnergyModel model(DramEnergyParams::hmc());
-    model.addLinkTraffic(1'000'000);
-    EXPECT_NEAR(model.linkEnergyJ(), 1e6 * 30.0 * 1e-12, 1e-12);
-}
-
-TEST(DramEnergy, BackgroundEnergyIsPowerTimesTime)
-{
-    DramEnergyModel model(DramEnergyParams::hmc());
-    model.addBackgroundTime(2.0);
-    EXPECT_NEAR(model.backgroundEnergyJ(), 2.0 * 1.2, 1e-9);
-}
-
-TEST(DramEnergy, TotalSumsComponents)
-{
-    DramEnergyModel model(DramEnergyParams::hmc());
-    BankCounters counters;
-    counters.reads = 10;
-    model.addBankActivity(counters, 32);
-    model.addLinkTraffic(1000);
-    model.addBackgroundTime(1.0);
-    EXPECT_NEAR(model.totalEnergyJ(),
-                model.arrayEnergyJ() + model.linkEnergyJ()
-                    + model.backgroundEnergyJ(),
-                1e-15);
 }
 
 TEST(DramEnergy, SameTrafficCheaperInsideStack)

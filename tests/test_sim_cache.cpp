@@ -21,6 +21,8 @@
 #include "nn/models.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
+#include "rt/hetero_runtime.hh"
+#include "rt/profiler.hh"
 #include "sim/memo_cache.hh"
 
 using hpim::sim::MemoCache;
@@ -386,5 +388,58 @@ TEST_F(SimCacheTest, UserGraphAppendixIdenticalAcrossCacheModes)
         none.simCache = false;
         EXPECT_EQ(reference, appendix(none))
             << "uncached appendix diverged at --jobs " << jobs;
+    }
+}
+
+TEST_F(SimCacheTest, CpuKeyCoversEveryCpuParamsField)
+{
+    // Every rt memo key starts from cpuKey(). A CpuParams field it
+    // left out would make a config differing only in that field hit
+    // the default config's entries. Change each field alone and
+    // compare the profile prepared under the shared cache with an
+    // uncached profile of the same config.
+    using hpim::cpu::CpuParams;
+    using Edit = void (*)(CpuParams &);
+    const std::pair<const char *, Edit> edits[] = {
+        {"frequencyHz", [](CpuParams &c) { c.frequencyHz *= 1.5; }},
+        {"cores", [](CpuParams &c) { c.cores /= 2; }},
+        {"flopsPerSec", [](CpuParams &c) { c.flopsPerSec *= 1.5; }},
+        {"specialsPerSec",
+         [](CpuParams &c) { c.specialsPerSec *= 1.5; }},
+        {"memBandwidth", [](CpuParams &c) { c.memBandwidth *= 1.5; }},
+        {"opOverheadSec", [](CpuParams &c) { c.opOverheadSec *= 1.5; }},
+        {"dynamicPowerW", [](CpuParams &c) { c.dynamicPowerW *= 1.5; }},
+        {"idlePowerW", [](CpuParams &c) { c.idlePowerW *= 1.5; }},
+    };
+
+    const hpim::nn::Graph graph =
+        hpim::nn::buildModel(hpim::nn::ModelId::AlexNet);
+    const hpim::rt::SystemConfig base =
+        hpim::baseline::makeConfig(hpim::baseline::SystemKind::HeteroPim);
+    ASSERT_TRUE(base.dynamicScheduling);
+    ASSERT_TRUE(MemoCache::active());
+    auto prepared = [&graph](const hpim::rt::SystemConfig &config) {
+        return hpim::rt::HeteroRuntime(config).train(graph, 1).profile;
+    };
+
+    for (const auto &[field, edit] : edits) {
+        SCOPED_TRACE(field);
+        hpim::rt::SystemConfig changed = base;
+        edit(changed.cpu);
+        prepared(base);
+        const hpim::rt::ProfileReport cached = prepared(changed);
+        const hpim::rt::ProfileReport truth =
+            hpim::rt::Profiler{hpim::cpu::CpuModel(changed.cpu)}.profile(
+                graph);
+        ASSERT_EQ(cached.ops.size(), truth.ops.size());
+        for (std::size_t i = 0; i < truth.ops.size(); ++i) {
+            ASSERT_EQ(cached.ops[i].timeSec, truth.ops[i].timeSec)
+                << "op " << i;
+            ASSERT_EQ(cached.ops[i].mainMemoryAccesses,
+                      truth.ops[i].mainMemoryAccesses)
+                << "op " << i;
+        }
+        EXPECT_EQ(cached.totalTimeSec, truth.totalTimeSec);
+        EXPECT_EQ(cached.totalAccesses, truth.totalAccesses);
     }
 }
